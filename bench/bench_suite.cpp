@@ -38,11 +38,10 @@
 #include "bench_util.hpp"
 #include "blas/generate.hpp"
 #include "core/adaptive_lsq.hpp"
-#include "core/batched_lsq.hpp"
+#include "core/batch_runner.hpp"
 #include "core/dag_solve.hpp"
 #include "core/least_squares.hpp"
 #include "core/refinement.hpp"
-#include "device/dag.hpp"
 #include "md/simd/dispatch.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -70,7 +69,7 @@ struct CaseResult {
   // case key in check_bench) and forced-scalar wall / forced-ISA wall.
   std::string isa;
   double simd_speedup = 0;
-  // DAG cases only (dagsolve/hetbatch): fork-join wall / DAG-schedule
+  // DAG case only (dagsolve): fork-join wall / DAG-schedule
   // wall, and the machine-independent dry-run ratio serialized modeled
   // schedule / modeled DAG makespan.  Cases carrying these emit
   // "speedup":0.0 (the servehit precedent) so only --min-dag-speedup
@@ -329,103 +328,6 @@ CaseResult dagsolve_case(int m, int c, int solves, int tile,
   return r;
 }
 
-// Heterogeneous batched least squares under the DAG scheduler
-// (DESIGN.md §13): a mixed-size batch over a V100 + RTX 2080 pool, run
-// with the fixed fork-join sharding and again as a coarse task graph
-// (stage-in -> solve -> stage-out per problem) whose workers STEAL
-// across pool slots when their home queue drains.  Per-problem results
-// are limb-identical (same shard assignment, one thread per problem
-// either way); the makespan ratio prices the graph's overlap across the
-// pool's lanes against the serialized schedule.
-template <class T>
-CaseResult hetbatch_case(int problems, int rows, int cols, int tile,
-                         int width) {
-  std::mt19937_64 gen(0x5eed8 + rows);
-  std::vector<core::BatchProblem<T>> batch;
-  for (int i = 0; i < problems; ++i) {
-    const int m = rows + 4 * (i % 5);  // mixed sizes: real imbalance
-    batch.push_back(core::BatchProblem<T>::functional(
-        blas::random_matrix<T>(m, cols, gen),
-        blas::random_vector<T>(m, gen)));
-  }
-  core::DevicePool pool;
-  pool.slots = {&device::volta_v100(), &device::geforce_rtx2080()};
-
-  core::BatchedLsqOptions opt;
-  opt.tile = tile;
-  opt.threads = width;
-  const double t0 = now_ms();
-  auto rf = core::batched_least_squares<T>(pool, batch, opt);
-  const double t1 = now_ms();
-
-  core::BatchedLsqOptions dopt = opt;
-  dopt.schedule = core::SchedulePolicy::dag;
-  const double t2 = now_ms();
-  auto rd = core::batched_least_squares<T>(pool, batch, dopt);
-  const double t3 = now_ms();
-
-  double kernel_ms = 0;
-  for (const auto& p : rf.problems) kernel_ms += p.kernel_ms;
-  CaseResult r{"hetbatch", md::name_of(md::Precision(
-                               blas::scalar_traits<T>::limbs)),
-               rows, cols, tile, kernel_ms, t1 - t0, t3 - t2};
-  r.dag_speedup = r.speedup();
-
-  // Dry pricing of the same coarse graph over the pool's lanes: the
-  // modeled wall of each problem (from the fork-join run — declaration-
-  // driven, policy-independent) split into its stage-in / compute /
-  // stage-out nodes, exactly as the dag route builds them.
-  device::TaskGraph g;
-  for (int s = 0; s < pool.size(); ++s) {
-    const device::DeviceSpec& spec = *pool.slots[std::size_t(s)];
-    for (int i : rf.shards[std::size_t(s)]) {
-      const auto& p = batch[std::size_t(i)];
-      const double in_ms = device::transfer_time_ms(
-          spec, device::Device::staging_bytes<T>(p.m(), p.c()) +
-                    device::Device::staging_bytes<T>(p.m(), 1));
-      const double out_ms = device::transfer_time_ms(
-          spec, device::Device::staging_bytes<T>(p.c(), 1) +
-                    device::Device::staging_bytes<T>(p.m(), p.m()) +
-                    device::Device::staging_bytes<T>(p.m(), p.c()));
-      device::TaskNode tin;
-      tin.kind = device::TaskKind::transfer;
-      tin.device = s;
-      tin.modeled_ms = in_ms;
-      const int id_in = g.add(std::move(tin));
-      device::TaskNode comp;
-      comp.device = s;
-      comp.modeled_ms = std::max(
-          0.0, rf.problems[std::size_t(i)].wall_ms - in_ms - out_ms);
-      comp.deps = {id_in};
-      const int id_comp = g.add(std::move(comp));
-      device::TaskNode tout;
-      tout.kind = device::TaskKind::transfer;
-      tout.device = s;
-      tout.modeled_ms = out_ms;
-      tout.deps = {id_comp};
-      g.add(std::move(tout));
-    }
-  }
-  const auto ms = device::dag_makespan(g, {pool.size(), 1});
-  r.makespan_ratio =
-      ms.makespan_ms > 0 ? ms.serialized_ms / ms.makespan_ms : 0;
-
-  r.tally_ok = true;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& pf = rf.problems[i];
-    const auto& pd = rd.problems[i];
-    if (!(pf.measured == pf.analytic) || !(pd.measured == pd.analytic))
-      r.tally_ok = false;
-    if (pf.x.size() != pd.x.size()) {
-      r.identical = false;
-      continue;
-    }
-    for (std::size_t j = 0; j < pf.x.size() && r.identical; ++j)
-      if (!blas::bit_identical(pf.x[j], pd.x[j])) r.identical = false;
-  }
-  return r;
-}
-
 // Explicit-SIMD ablation (DESIGN.md §9): the identical sequential
 // double-double QR run twice, once with the kernel table forced to the
 // scalar fallback and once forced to `isa`.  Both runs route through the
@@ -592,12 +494,10 @@ int main(int argc, char** argv) {
   cases.push_back(layout_case<md::dd_real>(320, 8, 448, 8));
   cases.push_back(layout_case<md::qd_real>(288, 8, 160, 8));
   // Event-driven DAG vs fork-join (DESIGN.md §13): the batched
-  // correction-solve chains on one device, and the coarse heterogeneous
-  // batch over a V100 + RTX 2080 pool.  seq wall = fork-join, par wall =
-  // DAG; dag_speedup is their ratio and makespan_ratio the
+  // correction-solve chains on one device.  seq wall = fork-join, par
+  // wall = DAG; dag_speedup is their ratio and makespan_ratio the
   // machine-independent dry-run price the gate requires above 1.
   cases.push_back(dagsolve_case<md::dd_real>(320, 8, 448, 8, pool, width));
-  cases.push_back(hetbatch_case<md::dd_real>(10, 40, 16, 8, width));
   // Explicit-SIMD ablation, one case per vector tier this host can run
   // (scalar-vs-scalar would be a tautology): forced-scalar vs forced-ISA
   // sequential d2 QR, sized so the scalar wall clears the gate's

@@ -1,17 +1,8 @@
-// The shared execution knobs of every solver driver.
-//
-// Before this header, the same three knobs — the host execution engine's
-// tile-task width, the optional shared tile pool it draws helpers from
-// (DESIGN.md §5), and the precision-ladder rung sequence (DESIGN.md §10)
-// — were declared four times with slightly divergent comments and
-// defaults drift risk: AdaptiveOptions, BatchedLsqOptions, TrackOptions
-// and BatchedTrackOptions each carried their own copies.  ExecOptions is
-// the single definition; the four options structs compose it by value
-// (public base subobject), so the historical field names — opt.parallelism,
-// opt.tile_pool, opt.rungs — keep working at every call site unchanged:
-// the "accessors" are the inherited members themselves.
-//
-// Semantics of the three knobs (identical wherever they appear):
+// The shared execution knobs of every solver driver.  AdaptiveOptions and
+// TrackOptions compose ExecOptions by value (public base subobject), and
+// the two batched drivers compose it through core::BatchOptions
+// (core/batch_runner.hpp), so opt.parallelism, opt.tile_pool and
+// opt.rungs mean the same thing at every call site.
 //
 //   parallelism — tiled kernel bodies of every Device the driver runs
 //     execute as up to `parallelism` concurrent tasks (DESIGN.md §5).
@@ -20,9 +11,10 @@
 //
 //   tile_pool — the util::ThreadPool those tasks borrow helpers from.
 //     Null with parallelism > 1 means the driver owns a pool for the
-//     call; batched drivers pass ONE shared pool into every per-problem
-//     solve so batch-level and tile-level parallelism compose without
-//     oversubscription (core::detail::tile_pool_helpers).
+//     call; the batch runner (core::run_batch) passes ONE shared pool
+//     into every per-item solve so batch-level and tile-level
+//     parallelism compose without oversubscription
+//     (core::detail::tile_pool_helpers).
 //
 //   rungs — explicit precision-ladder rung sequence (strictly increasing
 //     instantiated limb counts, core/limb_dispatch.hpp); empty means the
@@ -40,7 +32,9 @@ class ThreadPool;
 
 namespace mdlsq::core {
 
-// How a staged driver turns its launch schedule into host execution:
+// How a staged driver turns its launch schedule into host execution —
+// the explicit argument of least_squares(dev, a, b, tile, schedule) and
+// DagSolveOptions::schedule (core/dag_solve.hpp):
 //   fork_join — every launch is a barrier: its tiled tasks fan out over
 //     the pool and join before the next launch issues (DESIGN.md §5);
 //   dag — launches become nodes of a device::TaskGraph with explicit
@@ -59,9 +53,6 @@ struct ExecOptions {
   // Explicit precision-ladder rung sequence; empty means the default
   // doubling ladder.  Validation semantics are core::resolve_rungs'.
   std::vector<int> rungs;
-  // Launch schedule execution policy (DESIGN.md §13).  Drivers that have
-  // not grown a DAG route yet reject `dag` with std::invalid_argument.
-  SchedulePolicy schedule = SchedulePolicy::fork_join;
 };
 
 }  // namespace mdlsq::core

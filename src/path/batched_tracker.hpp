@@ -11,21 +11,20 @@
 //     the per-path device tallies (integer counters, summed in path-index
 //     order);
 //   * LPT sharding — the greedy policy prices each path with the
-//     tracker's dry-run schedule (track_dry) per distinct device spec and
-//     assigns longest-first to the least-loaded slot.
+//     tracker's dry-run schedule (track_dry).
 //
-// Tile-level parallelism composes with batch-level parallelism through
-// ONE shared tile pool sized by core::detail::tile_pool_helpers, exactly
-// as in the batched least-squares driver (DESIGN.md §5).
+// Sharding, host execution (one job per shard, one shared tile pool) and
+// the per-slot report rows are the shared batch runner's
+// (core/batch_runner.hpp), exactly as in the batched least-squares
+// driver; this driver adds the per-path report rows.
 #pragma once
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/batched_lsq.hpp"
+#include "core/batch_runner.hpp"
 #include "path/tracker.hpp"
 #include "util/batch_report.hpp"
 #include "util/thread_pool.hpp"
@@ -66,17 +65,11 @@ struct TrackProblem {
   }
 };
 
-// Inherits the shared execution knobs from core::ExecOptions:
-// `parallelism` is the tile-level width per path (DESIGN.md §5), a
-// non-null `tile_pool` supplies the shared helper pool externally (null
-// means the driver sizes and owns one), and a non-empty `rungs` overrides
-// `track.rungs` so one batch-level assignment configures every path's
-// per-step ladder.
-struct BatchedTrackOptions : core::ExecOptions {
+// Inherits the batch knobs from core::BatchOptions (batch_runner.hpp); a
+// non-empty `rungs` overrides `track.rungs` so one batch-level assignment
+// configures every path's per-step ladder.
+struct BatchedTrackOptions : core::BatchOptions {
   TrackOptions track;
-  core::ShardPolicy policy = core::ShardPolicy::round_robin;
-  device::ExecMode mode = device::ExecMode::functional;
-  int threads = 0;  // host threads; 0 means one per pool slot
 };
 
 template <int NH>
@@ -96,19 +89,15 @@ struct BatchedTrackResult {
 
 namespace detail {
 
-// Shared validation of a batch (thrown std::invalid_argument, the PR 7
-// convention — these guards sit on the service path and must survive
-// NDEBUG).  Every path needs positive dimensions and at least constant
-// homotopy terms whether it came from a real Homotopy (whose own ctor
-// enforces this) or from TrackProblem::dry, where nothing else checks.
+// Validation of the paths (thrown std::invalid_argument — these guards
+// sit on the service path and must survive NDEBUG).  Every path needs
+// positive dimensions and at least constant homotopy terms whether it
+// came from a real Homotopy (whose own ctor enforces this) or from
+// TrackProblem::dry, where nothing else checks; functional mode needs
+// the homotopies themselves.
 template <int NH>
 void validate_track_batch(const std::vector<TrackProblem<NH>>& problems,
                           const BatchedTrackOptions& opt) {
-  if (opt.threads < 0)
-    throw std::invalid_argument("mdlsq: batched_track threads must be >= 0");
-  if (opt.parallelism < 1)
-    throw std::invalid_argument(
-        "mdlsq: batched_track parallelism must be >= 1");
   for (const auto& p : problems) {
     if (p.dim() < 1)
       throw std::invalid_argument(
@@ -116,6 +105,9 @@ void validate_track_batch(const std::vector<TrackProblem<NH>>& problems,
     if (p.a_terms() < 1 || p.b_terms() < 1)
       throw std::invalid_argument(
           "mdlsq: batched_track paths need at least constant A and b terms");
+    if (opt.mode == device::ExecMode::functional && !p.homotopy)
+      throw std::invalid_argument(
+          "mdlsq: functional batched_track needs homotopies");
   }
 }
 
@@ -133,156 +125,49 @@ inline TrackOptions path_track_options(const BatchedTrackOptions& opt,
 
 }  // namespace detail
 
-// Pool-slot assignment without tracking anything; the greedy policy
-// prices each path with the dry-run schedule per distinct slot spec.
-template <int NH>
-std::vector<std::vector<int>> track_shard_assignment(
-    const core::DevicePool& pool,
-    const std::vector<TrackProblem<NH>>& problems,
-    const BatchedTrackOptions& opt) {
-  const int d = pool.size();
-  if (d < 1)
-    throw std::invalid_argument("mdlsq: batched_track needs a nonempty pool");
-  detail::validate_track_batch<NH>(problems, opt);
-  std::vector<std::vector<int>> shards(static_cast<std::size_t>(d));
-
-  if (opt.policy == core::ShardPolicy::round_robin) {
-    for (int i = 0; i < static_cast<int>(problems.size()); ++i)
-      shards[static_cast<std::size_t>(i % d)].push_back(i);
-    return shards;
-  }
-
-  std::vector<std::vector<double>> est(static_cast<std::size_t>(d));
-  for (int s = 0; s < d; ++s) {
-    for (int prior = 0; prior < s; ++prior)
-      if (pool.slots[static_cast<std::size_t>(prior)] ==
-          pool.slots[static_cast<std::size_t>(s)]) {
-        est[static_cast<std::size_t>(s)] = est[static_cast<std::size_t>(prior)];
-        break;
-      }
-    if (est[static_cast<std::size_t>(s)].empty()) {
-      const TrackOptions topt = detail::path_track_options(opt, nullptr);
-      est[static_cast<std::size_t>(s)].resize(problems.size());
-      for (std::size_t i = 0; i < problems.size(); ++i)
-        est[static_cast<std::size_t>(s)][i] =
-            track_dry(*pool.slots[static_cast<std::size_t>(s)],
-                      problems[i].dim(), problems[i].a_terms(),
-                      problems[i].b_terms(), topt)
-                .wall_ms;
-    }
-  }
-
-  std::vector<int> order(problems.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return est[0][static_cast<std::size_t>(a)] >
-           est[0][static_cast<std::size_t>(b)];
-  });
-
-  std::vector<double> load(static_cast<std::size_t>(d), 0.0);
-  for (int i : order) {
-    int best = 0;
-    for (int s = 1; s < d; ++s)
-      if (load[static_cast<std::size_t>(s)] +
-              est[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)] <
-          load[static_cast<std::size_t>(best)] +
-              est[static_cast<std::size_t>(best)][static_cast<std::size_t>(i)])
-        best = s;
-    shards[static_cast<std::size_t>(best)].push_back(i);
-    load[static_cast<std::size_t>(best)] +=
-        est[static_cast<std::size_t>(best)][static_cast<std::size_t>(i)];
-  }
-  for (auto& s : shards) std::sort(s.begin(), s.end());
-  return shards;
-}
-
-// The batched driver: shard, track every shard in order on one worker
-// (mirroring a device stream), aggregate the batch report with per-path
-// rows.
+// The batched driver: shard, track every shard on the shared batch
+// runner, then add the per-path report rows.
 template <int NH>
 BatchedTrackResult<NH> batched_track(
     const core::DevicePool& pool,
     const std::vector<TrackProblem<NH>>& problems,
     const BatchedTrackOptions& opt = {}) {
-  const int d = pool.size();
-  if (d < 1)
-    throw std::invalid_argument("mdlsq: batched_track needs a nonempty pool");
   detail::validate_track_batch<NH>(problems, opt);
-  for (const auto& p : problems)
-    if (opt.mode == device::ExecMode::functional && !p.homotopy)
-      throw std::invalid_argument(
-          "mdlsq: functional batched_track needs homotopies");
-
+  const TrackOptions dry_opt = detail::path_track_options(opt, nullptr);
   BatchedTrackResult<NH> out;
-  out.shards = track_shard_assignment<NH>(pool, problems, opt);
-  out.paths.resize(problems.size());
-
-  {
-    const int width = opt.threads > 0 ? std::min(opt.threads, d) : d;
-    // An externally supplied opt.tile_pool (the serve layer's) is used
-    // as-is; otherwise the driver sizes and owns one (DESIGN.md §5).
-    std::optional<util::ThreadPool> owned_pool;
-    util::ThreadPool* tile_pool = opt.tile_pool;
-    if (tile_pool == nullptr) {
-      const int helpers =
-          core::detail::tile_pool_helpers(width, opt.parallelism);
-      if (helpers > 0) {
-        owned_pool.emplace(helpers);
-        tile_pool = &*owned_pool;
-      }
-    }
-    util::ThreadPool workers(width);
-    for (int s = 0; s < d; ++s) {
-      workers.submit([&, s] {
-        for (int i : out.shards[static_cast<std::size_t>(s)]) {
-          const auto& spec = *pool.slots[static_cast<std::size_t>(s)];
-          const auto& p = problems[static_cast<std::size_t>(i)];
-          auto& r = out.paths[static_cast<std::size_t>(i)];
-          r.path = i;
-          r.device = s;
-          if (opt.mode == device::ExecMode::functional) {
-            r.result = track<NH>(spec, *p.homotopy,
-                                 detail::path_track_options(opt, tile_pool));
-          } else {
-            r.dry = track_dry(spec, p.dim(), p.a_terms(), p.b_terms(),
-                              detail::path_track_options(opt, nullptr));
-          }
-        }
+  out.shards = core::assign_shards(
+      pool, static_cast<int>(problems.size()), opt,
+      [&](const device::DeviceSpec& spec, int i) {
+        const auto& p = problems[static_cast<std::size_t>(i)];
+        return track_dry(spec, p.dim(), p.a_terms(), p.b_terms(), dry_opt)
+            .wall_ms;
       });
-    }
-    workers.wait();
-  }
+  out.paths.resize(problems.size());
 
   const bool fn = opt.mode == device::ExecMode::functional;
   util::BatchReport& rep = out.report;
   rep.precision = md::Precision(NH);
-  rep.policy = core::name_of(opt.policy);
   rep.pipeline = "tracker";
-  rep.rows.resize(static_cast<std::size_t>(d));
-  for (int s = 0; s < d; ++s) {
-    auto& row = rep.rows[static_cast<std::size_t>(s)];
-    row.device = s;
-    row.name = pool.slots[static_cast<std::size_t>(s)]->name;
-    row.problems = out.shards[static_cast<std::size_t>(s)];
-    for (int i : row.problems) {
-      const auto& pr = out.paths[static_cast<std::size_t>(i)];
-      if (fn) {
-        row.tally += pr.result.device_analytic();
-        row.dp_gflop += pr.result.dp_gflop();
-        row.kernel_ms += pr.result.kernel_ms();
-        row.wall_ms += pr.result.wall_ms();
-      } else {
-        row.tally += pr.dry.analytic;
-        row.dp_gflop += pr.dry.dp_gflop;
-        row.kernel_ms += pr.dry.kernel_ms;
-        row.wall_ms += pr.dry.wall_ms;
-      }
-    }
-    rep.tally += row.tally;
-    rep.dp_gflop_total += row.dp_gflop;
-    rep.kernel_ms += row.kernel_ms;
-    rep.makespan_ms = std::max(rep.makespan_ms, row.wall_ms);
-  }
+  core::run_batch(
+      pool, out.shards, opt,
+      [&](const device::DeviceSpec& spec, int slot, int i,
+          util::ThreadPool* tile_pool) {
+        const auto& p = problems[static_cast<std::size_t>(i)];
+        auto& r = out.paths[static_cast<std::size_t>(i)];
+        r.path = i;
+        r.device = slot;
+        if (fn) {
+          r.result = track<NH>(spec, *p.homotopy,
+                               detail::path_track_options(opt, tile_pool));
+          return core::ItemCost{r.result.device_analytic(),
+                                r.result.dp_gflop(), r.result.kernel_ms(),
+                                r.result.wall_ms()};
+        }
+        r.dry = track_dry(spec, p.dim(), p.a_terms(), p.b_terms(), dry_opt);
+        return core::ItemCost{r.dry.analytic, r.dry.dp_gflop,
+                              r.dry.kernel_ms, r.dry.wall_ms};
+      },
+      rep);
 
   // Per-path rows of the report (steps, corrections, reached precision).
   for (const auto& pr : out.paths) {

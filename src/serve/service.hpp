@@ -62,7 +62,7 @@
 #include <vector>
 
 #include "core/adaptive_lsq.hpp"
-#include "core/batched_lsq.hpp"
+#include "core/batch_runner.hpp"
 #include "core/least_squares.hpp"
 #include "core/solve_options.hpp"
 #include "device/launch.hpp"

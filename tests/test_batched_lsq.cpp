@@ -1,12 +1,14 @@
 // Batched multi-device least squares: bit-identical agreement with
 // sequential single-problem solves, determinism across pool widths and
 // sharding policies, tally conservation, the 8-problems-on-4-devices
-// sharding contract, greedy load balancing, dry-run batches, and the
-// host thread pool underneath it all.
+// sharding contract, greedy load balancing and the shared LPT assigner's
+// sort key, dry-run batches, thrown validation errors, and the host
+// thread pool underneath it all.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
+#include <stdexcept>
 
 #include "blas/generate.hpp"
 #include "core/batched_lsq.hpp"
@@ -19,7 +21,6 @@ using core::BatchProblem;
 using core::DevicePool;
 using core::ShardPolicy;
 using test_support::make_dev;
-using test_support::optimality;
 
 namespace {
 
@@ -242,25 +243,66 @@ TEST(BatchedLsq, DryRunBatchPricesIdenticalSchedule) {
   }
 }
 
-TEST(BatchedLsq, RefinementPassesPolishAndAreTallied) {
+// The batch knobs are validated under NDEBUG too, before any work.
+TEST(BatchedLsq, RejectsNegativeThreadsAndParallelismBelowOne) {
   using T = md::dd_real;
-  std::mt19937_64 gen(17);
-  auto a = blas::random_matrix<T>(24, 16, gen);
-  auto b = blas::random_vector<T>(24, gen);
-  std::vector<BatchProblem<T>> batch;
-  batch.push_back(BatchProblem<T>::functional(a, b));
-
+  auto batch = make_batch<T>(2, 13);
+  auto pool = DevicePool::homogeneous(device::volta_v100(), 2);
   BatchedLsqOptions opt;
   opt.tile = kTile;
-  opt.refine_passes = 2;
-  auto pool = DevicePool::homogeneous(device::volta_v100(), 1);
-  auto res = core::batched_least_squares<T>(pool, batch, opt);
+  opt.threads = -1;
+  EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
+               std::invalid_argument);
+  opt.threads = 0;
+  opt.parallelism = 0;
+  EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
+               std::invalid_argument);
+}
 
-  const auto& p = res.problems[0];
-  EXPECT_GT(p.refine.md_ops(), 0);
-  EXPECT_LE(optimality(a, p.x, b), 1e4 * 24 * T::eps());
-  // Device tallies are untouched by host refinement.
-  EXPECT_TRUE(p.measured == p.analytic);
+// The adaptive ladder runs on real scalars only; a complex adaptive batch
+// is refused with a thrown error in every build type.
+TEST(BatchedLsq, ComplexAdaptiveBatchThrows) {
+  using T = md::dd_complex;
+  std::mt19937_64 gen(19);
+  std::vector<BatchProblem<T>> batch;
+  batch.push_back(BatchProblem<T>::functional(
+      blas::random_matrix<T>(8, 4, gen), blas::random_vector<T>(8, gen)));
+  auto pool = DevicePool::homogeneous(device::volta_v100(), 1);
+  BatchedLsqOptions opt;
+  opt.tile = kTile;
+  opt.pipeline = core::BatchPipeline::adaptive;
+  EXPECT_THROW(core::shard_assignment(pool, batch, opt),
+               std::invalid_argument);
+  EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
+               std::invalid_argument);
+}
+
+// The shared LPT assigner sorts by each item's WORST per-slot estimate.
+// On this price table slot 0's estimates would order the items 1, 2, 0
+// and give shards {0, 1} {2} with loads 6 and 4; the worst-slot key
+// orders them 0, 1, 2 and balances both slots at 5.
+TEST(ShardAssigner, LptSortsByWorstPerSlotEstimate) {
+  const device::DeviceSpec& fast = device::volta_v100();
+  const device::DeviceSpec& slow = device::geforce_rtx2080();
+  const double on_fast[] = {1, 5, 4};
+  const double on_slow[] = {10, 5, 4};
+  int calls = 0;
+  auto price = [&](const device::DeviceSpec& spec, int i) {
+    ++calls;
+    return &spec == &fast ? on_fast[i] : on_slow[i];
+  };
+  core::BatchOptions opt;
+  opt.policy = ShardPolicy::greedy_by_modeled_time;
+
+  DevicePool pool;
+  pool.slots = {&fast, &slow};
+  EXPECT_EQ(core::assign_shards(pool, 3, opt, price),
+            (std::vector<std::vector<int>>{{0, 2}, {1}}));
+  EXPECT_EQ(calls, 6);  // once per item and distinct spec
+
+  calls = 0;
+  core::assign_shards(DevicePool::homogeneous(fast, 3), 3, opt, price);
+  EXPECT_EQ(calls, 3);
 }
 
 TEST(BatchedLsq, HeterogeneousPoolReportsPerSpecNames) {

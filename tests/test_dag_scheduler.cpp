@@ -13,8 +13,8 @@
 //     declaring happens at graph-build time.
 //
 // Also covered: the lowest-node-id error-rethrow discipline, work
-// stealing across device shards, the batched coarse-grained DAG route,
-// and the dry-run makespan pricing that feeds the bench gate.
+// stealing across device shards, and the dry-run makespan pricing that
+// feeds the bench gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "blas/generate.hpp"
-#include "core/batched_lsq.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/dag_solve.hpp"
 #include "core/least_squares.hpp"
@@ -389,58 +388,4 @@ TEST(DagPricing, LeastSquaresPipelinePricesBelowSerialized) {
   EXPECT_DOUBLE_EQ(dry.kernel_ms(), dry2.kernel_ms());
   EXPECT_EQ(dry.launches(), dry2.launches());
   EXPECT_TRUE(dry.analytic_total() == dry2.analytic_total());
-}
-
-// --- batched least squares over a heterogeneous pool -------------------------
-
-TEST(DagBatched, HeterogeneousPoolMatchesForkJoin) {
-  using T = md::dd_real;
-  std::mt19937_64 gen(0xda64);
-  std::vector<core::BatchProblem<T>> batch;
-  const int shapes[][2] = {{16, 8}, {20, 12}, {12, 12}, {24, 8},
-                           {16, 16}, {20, 8}, {12, 8},  {24, 12}};
-  for (const auto& s : shapes)
-    batch.push_back(core::BatchProblem<T>::functional(
-        blas::random_matrix<T>(s[0], s[1], gen),
-        blas::random_vector<T>(s[0], gen)));
-
-  core::DevicePool pool;
-  pool.slots = {&device::volta_v100(), &device::geforce_rtx2080()};
-
-  core::BatchedLsqOptions opt;
-  opt.tile = 4;
-  const auto ref = core::batched_least_squares<T>(pool, batch, opt);
-
-  core::BatchedLsqOptions dopt = opt;
-  dopt.schedule = core::SchedulePolicy::dag;
-  const auto got = core::batched_least_squares<T>(pool, batch, dopt);
-
-  // The shard assignment (and thus each problem's spec) is shared, so
-  // results must be limb-identical problem for problem.
-  ASSERT_EQ(got.problems.size(), ref.problems.size());
-  EXPECT_EQ(got.shards, ref.shards);
-  for (std::size_t i = 0; i < ref.problems.size(); ++i) {
-    SCOPED_TRACE("problem " + std::to_string(i));
-    expect_vector_bits(got.problems[i].x, ref.problems[i].x);
-    EXPECT_TRUE(got.problems[i].measured == got.problems[i].analytic);
-    EXPECT_DOUBLE_EQ(got.problems[i].wall_ms, ref.problems[i].wall_ms);
-  }
-  // Three nodes per problem drained through the graph.
-  EXPECT_EQ(got.dag_stats.executed,
-            static_cast<std::int64_t>(3 * batch.size()));
-}
-
-TEST(DagBatched, AdaptivePipelineRejectsDagPolicy) {
-  using T = md::dd_real;
-  std::mt19937_64 gen(0xda65);
-  std::vector<core::BatchProblem<T>> batch;
-  batch.push_back(core::BatchProblem<T>::functional(
-      blas::random_matrix<T>(8, 4, gen), blas::random_vector<T>(8, gen)));
-  auto pool = core::DevicePool::homogeneous(device::volta_v100(), 2);
-  core::BatchedLsqOptions opt;
-  opt.tile = 4;
-  opt.pipeline = core::BatchPipeline::adaptive;
-  opt.schedule = core::SchedulePolicy::dag;
-  EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
-               std::invalid_argument);
 }

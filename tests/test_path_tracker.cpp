@@ -593,3 +593,19 @@ TEST(PathTracker, ValidatesOptionsWithThrownErrors) {
   EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),  // dry problem,
                std::invalid_argument);                     // functional mode
 }
+
+TEST(PathTracker, BatchedTrackRejectsNegativeThreadsAndParallelismBelowOne) {
+  std::vector<path::TrackProblem<4>> batch;
+  batch.push_back(path::TrackProblem<4>::dry(8, 2, 1));
+  path::BatchedTrackOptions bopt;
+  bopt.track = base_options(4);
+  bopt.mode = device::ExecMode::dry_run;
+  auto pool = core::DevicePool::homogeneous(device::volta_v100(), 2);
+  bopt.threads = -1;
+  EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),
+               std::invalid_argument);
+  bopt.threads = 0;
+  bopt.parallelism = 0;
+  EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),
+               std::invalid_argument);
+}

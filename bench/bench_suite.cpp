@@ -39,7 +39,6 @@
 #include "blas/generate.hpp"
 #include "core/adaptive_lsq.hpp"
 #include "core/batch_runner.hpp"
-#include "core/dag_solve.hpp"
 #include "core/least_squares.hpp"
 #include "core/refinement.hpp"
 #include "md/simd/dispatch.hpp"
@@ -69,13 +68,6 @@ struct CaseResult {
   // case key in check_bench) and forced-scalar wall / forced-ISA wall.
   std::string isa;
   double simd_speedup = 0;
-  // DAG case only (dagsolve): fork-join wall / DAG-schedule
-  // wall, and the machine-independent dry-run ratio serialized modeled
-  // schedule / modeled DAG makespan.  Cases carrying these emit
-  // "speedup":0.0 (the servehit precedent) so only --min-dag-speedup
-  // gates them, not the relative threading-ratio fence.
-  double dag_speedup = 0;
-  double makespan_ratio = 0;
   double speedup() const { return par_wall_ms > 0 ? seq_wall_ms / par_wall_ms : 0; }
 };
 
@@ -261,73 +253,6 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
   return r;
 }
 
-// Event-driven DAG schedule vs fork-join barriers (DESIGN.md §13): the
-// batched factor-reusing correction-solve workload — `solves`
-// independent three-launch chains (residual upload, Q^H r, triangular
-// solve) against one resident factorization.  Fork-join barriers every
-// launch; the DAG run puts all chains in one task graph and drains them
-// with `width` lanes, overlapping chain k+1's upload with chain k's
-// kernels.  Results must be limb-identical (disjoint output slots,
-// fixed in-task reduction order) and the modeled schedule is
-// declaration-driven, hence policy-independent.  dag_speedup is the
-// measured wall ratio; makespan_ratio prices the same graph dry —
-// machine-independent, gated > 1 on any host.
-template <class T>
-CaseResult dagsolve_case(int m, int c, int solves, int tile,
-                         util::ThreadPool& pool, int width) {
-  std::mt19937_64 gen(0x5eed7 + m);
-  auto q = blas::random_matrix<T>(m, m, gen);
-  auto rtop_full = bench_triangular<T>(c, gen);
-  blas::Matrix<T> rtop(c, c);  // upper triangle only, zeros below
-  for (int i = 0; i < c; ++i)
-    for (int j = i; j < c; ++j) rtop(i, j) = rtop_full(i, j);
-  std::vector<blas::Vector<T>> residuals;
-  for (int s = 0; s < solves; ++s)
-    residuals.push_back(blas::random_vector<T>(m, gen));
-
-  // Fork-join: each chain's launches barrier before the next chain.
-  auto fdev = make_dev<T>();
-  auto fq = fdev.stage(q);
-  auto frt = fdev.stage(rtop);
-  const double t0 = now_ms();
-  auto xf = core::batch_correction_solves<T>(fdev, fq, frt, residuals, m,
-                                             c, tile);
-  const double t1 = now_ms();
-
-  // DAG: one graph of `solves` independent chains over `width` lanes.
-  auto ddev = make_dev<T>();
-  auto dq = ddev.stage(q);
-  auto drt = ddev.stage(rtop);
-  core::DagSolveOptions dopt;
-  dopt.schedule = core::SchedulePolicy::dag;
-  dopt.lanes = width;
-  dopt.pool = &pool;
-  const double t2 = now_ms();
-  auto xd = core::batch_correction_solves<T>(ddev, dq, drt, residuals, m,
-                                             c, tile, dopt);
-  const double t3 = now_ms();
-
-  CaseResult r{"dagsolve", md::name_of(fdev.precision()), m, c, tile,
-               fdev.kernel_ms(), t1 - t0, t3 - t2};
-  r.dag_speedup = r.speedup();
-  device::Device dry(device::volta_v100(), fdev.precision(),
-                     device::ExecMode::dry_run);
-  const auto ms =
-      core::batch_correction_solves_dry<T>(dry, solves, m, c, tile, width);
-  r.makespan_ratio =
-      ms.makespan_ms > 0 ? ms.serialized_ms / ms.makespan_ms : 0;
-  r.tally_ok = tallies_exact(fdev) && tallies_exact(ddev) &&
-               fdev.kernel_ms() == ddev.kernel_ms();
-  for (int s = 0; s < solves && r.identical; ++s)
-    for (int j = 0; j < c; ++j)
-      if (!blas::bit_identical(xf[std::size_t(s)][std::size_t(j)],
-                               xd[std::size_t(s)][std::size_t(j)])) {
-        r.identical = false;
-        break;
-      }
-  return r;
-}
-
 // Explicit-SIMD ablation (DESIGN.md §9): the identical sequential
 // double-double QR run twice, once with the kernel table forced to the
 // scalar fallback and once forced to `isa`.  Both runs route through the
@@ -493,11 +418,6 @@ int main(int argc, char** argv) {
   // the staged_speedup ratio the gate locks in (DESIGN.md §8).
   cases.push_back(layout_case<md::dd_real>(320, 8, 448, 8));
   cases.push_back(layout_case<md::qd_real>(288, 8, 160, 8));
-  // Event-driven DAG vs fork-join (DESIGN.md §13): the batched
-  // correction-solve chains on one device.  seq wall = fork-join, par
-  // wall = DAG; dag_speedup is their ratio and makespan_ratio the
-  // machine-independent dry-run price the gate requires above 1.
-  cases.push_back(dagsolve_case<md::dd_real>(320, 8, 448, 8, pool, width));
   // Explicit-SIMD ablation, one case per vector tier this host can run
   // (scalar-vs-scalar would be a tautology): forced-scalar vs forced-ISA
   // sequential d2 QR, sized so the scalar wall clears the gate's
@@ -543,7 +463,7 @@ int main(int argc, char** argv) {
                  "\"tally_conserved\":%s",
                  i ? "," : "", c.kind.c_str(), c.precision.c_str(), c.rows,
                  c.cols, c.tile, c.modeled_kernel_ms, c.seq_wall_ms,
-                 c.par_wall_ms, c.dag_speedup > 0 ? 0.0 : c.speedup(),
+                 c.par_wall_ms, c.speedup(),
                  c.identical ? "true" : "false",
                  c.tally_ok ? "true" : "false");
     if (c.staged_speedup > 0)
@@ -551,9 +471,6 @@ int main(int argc, char** argv) {
     if (!c.isa.empty())
       std::fprintf(f, ",\"isa\":\"%s\",\"simd_speedup\":%.3f", c.isa.c_str(),
                    c.simd_speedup);
-    if (c.dag_speedup > 0)
-      std::fprintf(f, ",\"dag_speedup\":%.3f,\"makespan_ratio\":%.3f",
-                   c.dag_speedup, c.makespan_ratio);
     std::fprintf(f, "}");
   }
   std::fprintf(f, "]}\n");

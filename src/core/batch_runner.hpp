@@ -17,10 +17,12 @@
 //     helpers come from ONE pool shared by all shards (tile_pool_helpers),
 //     so batch- and tile-level parallelism compose without oversubscribing
 //     the host.  The per-slot util::BatchReport rows are summed in shard
-//     order after the join.
+//     order after the join.  A failing item ends its shard, and the
+//     lowest failing item id's exception is rethrown after the join.
 #pragma once
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -165,7 +167,9 @@ std::vector<std::vector<int>> assign_shards(const DevicePool& pool, int n,
 // `rep`'s per-slot rows and totals.  `solve(spec, slot, i, tile_pool)`
 // runs item i on a fresh Device of `spec` and returns its ItemCost; it
 // is called from worker threads, one shard per worker, so it must touch
-// only item i's own state.
+// only item i's own state.  If items throw, each shard stops at its
+// first failure and, after the join, the exception of the LOWEST failing
+// item id is rethrown — the same error at every thread count.
 template <class Solve>
 void run_batch(const DevicePool& pool,
                const std::vector<std::vector<int>>& shards,
@@ -175,6 +179,7 @@ void run_batch(const DevicePool& pool,
   std::size_t n = 0;
   for (const auto& s : shards) n += s.size();
   std::vector<ItemCost> cost(n);
+  std::vector<std::exception_ptr> errs(n);
   {
     const int width = opt.threads > 0 ? std::min(opt.threads, d) : d;
     std::optional<util::ThreadPool> owned_pool;
@@ -190,12 +195,23 @@ void run_batch(const DevicePool& pool,
     for (int s = 0; s < d; ++s)
       workers.submit([&, s] {
         const auto ss = static_cast<std::size_t>(s);
-        for (int i : shards[ss])
-          cost[static_cast<std::size_t>(i)] =
-              solve(*pool.slots[ss], s, i, tile_pool);
+        for (int i : shards[ss]) {
+          const auto ii = static_cast<std::size_t>(i);
+          try {
+            cost[ii] = solve(*pool.slots[ss], s, i, tile_pool);
+          } catch (...) {
+            errs[ii] = std::current_exception();
+            break;  // a failed item ends its shard
+          }
+        }
       });
     workers.wait();
   }
+  // Deterministic error report: the lowest failing item id wins,
+  // whatever the shard order or thread interleaving (util::run_tasks'
+  // discipline).
+  for (const std::exception_ptr& e : errs)
+    if (e) std::rethrow_exception(e);
 
   rep.policy = name_of(opt.policy);
   rep.rows.resize(static_cast<std::size_t>(d));

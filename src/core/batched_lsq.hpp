@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -142,6 +143,26 @@ void require_pipeline_supported(const BatchedLsqOptions& opt) {
         "mdlsq: BatchPipeline::adaptive requires a real scalar type");
 }
 
+// Every problem's shape, checked on the calling thread before pricing or
+// any solve, so a bad problem is reported by its index and never reaches
+// a worker: the least-squares contract (qr_shape_error) at the batch
+// tile, plus a matching right-hand side in functional mode.  Throws
+// std::invalid_argument, kept under NDEBUG.
+template <class T>
+void require_valid_problems(const std::vector<BatchProblem<T>>& problems,
+                            const BatchedLsqOptions& opt) {
+  const bool fn = opt.mode == device::ExecMode::functional;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const BatchProblem<T>& p = problems[i];
+    const char* err = qr_shape_error(p.m(), p.c(), opt.tile);
+    if (err == nullptr && fn && static_cast<int>(p.b.size()) != p.m())
+      err = "right-hand side length must equal the row count";
+    if (err != nullptr)
+      throw std::invalid_argument("mdlsq: batched_least_squares problem " +
+                                  std::to_string(i) + ": " + err);
+  }
+}
+
 // Solves one problem with the adaptive ladder (real scalars only).
 template <class T>
 BatchedProblemResult<T> solve_one_adaptive(const device::DeviceSpec& spec,
@@ -237,6 +258,7 @@ std::vector<std::vector<int>> shard_assignment(
     const DevicePool& pool, const std::vector<BatchProblem<T>>& problems,
     const BatchedLsqOptions& opt) {
   detail::require_pipeline_supported<T>(opt);
+  detail::require_valid_problems<T>(problems, opt);
   return assign_shards(
       pool, static_cast<int>(problems.size()), opt,
       [&](const device::DeviceSpec& spec, int i) {

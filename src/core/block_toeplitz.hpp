@@ -115,14 +115,6 @@ class BlockToeplitzSolver {
   // ladder, the path tracker's Newton corrector).
   const QrFactors<T>& factors() const noexcept { return qr_; }
 
-  // The staged-resident mirrors of the factors, exposed so batch drivers
-  // (core/dag_solve.hpp) can issue many factor-reusing correction solves
-  // against the SAME residency this solver's own solves read.
-  const device::Staged2D<T>& staged_q() const noexcept { return staged_q_; }
-  const device::Staged2D<T>& staged_rtop() const noexcept {
-    return staged_rtop_;
-  }
-
   // Solves for the series coefficients x_0..x_K given rhs b_0..b_K
   // (K + 1 = rhs.size(); blocks beyond the stored bandwidth are zero).
   std::vector<blas::Vector<T>> solve(

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -65,7 +66,6 @@
 #include "blas/panel.hpp"
 #include "blas/vector_ops.hpp"
 #include "core/tally_rules.hpp"
-#include "device/dag.hpp"
 #include "device/launch.hpp"
 #include "device/staged.hpp"
 #include "obs/trace.hpp"
@@ -100,40 +100,39 @@ struct StagedQr {
   device::Staged2D<T> r;  // M-by-C upper triangular
 };
 
+// The shape contract of every blocked-QR and least-squares entry point:
+// an M-by-C operand with C a whole number of n-column tiles and M >= C.
+// Returns the violated rule, or nullptr when the shape is valid.
+inline const char* qr_shape_error(int M, int C, int n) noexcept {
+  if (n < 1) return "tile must be >= 1";
+  if (C % n != 0) return "column count must be a multiple of the tile";
+  if (M < C) return "row count must be >= column count";
+  return nullptr;
+}
+
+// Throws std::invalid_argument (kept under NDEBUG) on a shape that
+// violates the contract above — entry points call it before any staging
+// or launch, so a rejected call leaves the device untouched.
+inline void check_qr_shape(const char* who, int M, int C, int n) {
+  if (const char* e = qr_shape_error(M, C, n))
+    throw std::invalid_argument(std::string("mdlsq: ") + who + ": " + e);
+}
+
 // Staged-resident driver: `a` is the staged input (consumed — its buffer
 // becomes R), non-null in functional mode and null in dry-run mode; the
 // factors are returned resident.  Launch schedule only — the explicit
 // stage()/unstage() transfers belong to the entry points, so a pipeline
 // that chains further resident launches does not pay phantom transfers.
-//
-// Executor parameterization (DESIGN.md §13): the SAME launch sites and
-// analytic formulas serve both schedules.  device::DirectExec runs them
-// fork-join, launch for launch, exactly as the pre-DAG engine did;
-// device::GraphExec defers the bodies into a TaskGraph whose edges encode
-// the true data dependencies and executes it (event-driven, no wave
-// barriers) before this function returns — the graph must run while this
-// frame's scratch buffers are alive.  Dependency structure per tile k:
-//   * stages 1+2 form ONE sequential chain (each column's reflector feeds
-//     the next; W accumulates column by column; the shared v/w/u/betas
-//     scratch is safe because the chain serializes its users);
-//   * the chain of tile k+1 waits on ywt(k) — the last reader of Y and W
-//     — and on radd(k), which wrote the panel columns it factors;
-//   * YWT is double-buffered by tile PARITY and the SCR scratch is split
-//     per consumer (SCRQ for the Q update, SCRR for the R update), so
-//     qwyt(k) — the dominant M^3 product — runs concurrently with
-//     ywtc(k), radd(k) and the whole panel chain of tile k+1.  Every
-//     buffer is fully written before each read, so values (and therefore
-//     results) are bit-identical to the single-buffer fork-join walk.
-template <class T, class Exec>
-StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
-                                   device::Staged2D<T>* a, int M, int C,
-                                   int n) {
+template <class T>
+StagedQr<T> blocked_qr_staged_run(device::Device& dev,
+                                  device::Staged2D<T>* a, int M, int C,
+                                  int n) {
   using traits = blas::scalar_traits<T>;
   using RT = blas::real_of_t<T>;
   using O = ops_of<T>;
   using md::OpTally;
 
-  assert(n >= 1 && C % n == 0 && M >= C);
+  assert(qr_shape_error(M, C, n) == nullptr);
   const int NT = C / n;
   const bool fn = dev.functional();
   const std::int64_t esz = 8 * traits::doubles_per_element;
@@ -151,10 +150,7 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
   StagedQr<T> out;
   device::Staged2D<T>& R = out.r;
   device::Staged2D<T>& Q = out.q;
-  // YWT is parity-double-buffered and SCR split per consumer so the DAG
-  // schedule can overlap tiles (see the dependency notes above); the
-  // fork-join walk uses them in strict program order, values unchanged.
-  device::Staged2D<T> Y, W, YWTbuf[2], SCRQ, SCRR;
+  device::Staged2D<T> Y, W, YWT, SCR;
   if (fn) {
     if (a == nullptr || a->rows() != M || a->cols() != C)
       throw std::invalid_argument(
@@ -164,10 +160,8 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
     for (int i = 0; i < M; ++i) Q.set(i, i, T(1.0));
     Y = device::Staged2D<T>(M, n);
     W = device::Staged2D<T>(M, n);
-    YWTbuf[0] = device::Staged2D<T>(M, M);
-    if (NT > 1) YWTbuf[1] = device::Staged2D<T>(M, M);
-    SCRQ = device::Staged2D<T>(M, M);  // scratch for Q*WY^T
-    SCRR = device::Staged2D<T>(M, M);  // scratch for YWT*C
+    YWT = device::Staged2D<T>(M, M);
+    SCR = device::Staged2D<T>(M, M);  // scratch for QWY / YWTC
   }
 
   std::vector<T> v(M), w(n), u(n);
@@ -179,8 +173,7 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
   // operators, no tally effect.
   double *Rhi = nullptr, *Rlo = nullptr, *Qhi = nullptr, *Qlo = nullptr,
          *Yhi = nullptr, *Ylo = nullptr, *Whi = nullptr, *Wlo = nullptr,
-         *SQhi = nullptr, *SQlo = nullptr, *SRhi = nullptr, *SRlo = nullptr;
-  double *Thi[2] = {nullptr, nullptr}, *Tlo[2] = {nullptr, nullptr};
+         *Thi = nullptr, *Tlo = nullptr, *Shi = nullptr, *Slo = nullptr;
   std::vector<double> vhi, vlo, whi, wlo;
   if constexpr (kFuse) {
     if (fn) {
@@ -192,16 +185,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
       Ylo = Y.plane_span(1).data();
       Whi = W.plane_span(0).data();
       Wlo = W.plane_span(1).data();
-      Thi[0] = YWTbuf[0].plane_span(0).data();
-      Tlo[0] = YWTbuf[0].plane_span(1).data();
-      if (NT > 1) {
-        Thi[1] = YWTbuf[1].plane_span(0).data();
-        Tlo[1] = YWTbuf[1].plane_span(1).data();
-      }
-      SQhi = SCRQ.plane_span(0).data();
-      SQlo = SCRQ.plane_span(1).data();
-      SRhi = SCRR.plane_span(0).data();
-      SRlo = SCRR.plane_span(1).data();
+      Thi = YWT.plane_span(0).data();
+      Tlo = YWT.plane_span(1).data();
+      Shi = SCR.plane_span(0).data();
+      Slo = SCR.plane_span(1).data();
       vhi.resize(static_cast<std::size_t>(M));
       vlo.resize(static_cast<std::size_t>(M));
       whi.resize(static_cast<std::size_t>(n));
@@ -209,26 +196,13 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
     }
   }
 
-  // Cross-tile dependency handles (all empty before tile 0; an empty
-  // Wave contributes no edges).  *_hist index by tile parity — the last
-  // readers of the YWT buffer tile k reuses ran at tile k-2.
-  device::Wave ywt_prev, qadd_prev, radd_prev;
-  device::Wave qwyt_hist[2], ywtc_hist[2];
-
   for (int k = 0; k < NT; ++k) {
     const int r0 = k * n;
     const int Lk = M - r0;
-    const int pb = NT > 1 ? (k & 1) : 0;  // YWT parity buffer of this tile
-    device::Staged2D<T>* const YWTp = &YWTbuf[pb];
-    double* const Tkhi = Thi[pb];
-    double* const Tklo = Tlo[pb];
 
     // One panel wave = one parent span over tile k's stage 1-4 launches;
     // the child kernel spans carry the per-launch modeled prices.
     obs::Span panel_span("qr panel", obs::Cat::panel, traits::limbs);
-
-    // The sequential stage-1/2 chain of this tile (see the notes above).
-    device::Wave link;
 
     // ---- stage 1: panel factorization, column by column ----------------
     // Each column's reflector feeds the next column's data, so the chain
@@ -244,15 +218,8 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
         const OpTally serial =
             (O::abs2() + real_add()) * (2 * ceil_div(L, n)) + real_sqrt() +
             O::sign() + O::mul_real() + O::add() + real_div();
-        // The chain head of tile k waits on the last readers/writers of
-        // the buffers it touches: ywt(k-1) (reads Y, W) and radd(k-1)
-        // (wrote this panel's columns of R).
-        const device::Wave head_ywt = l == 0 ? ywt_prev : device::Wave{};
-        const device::Wave head_radd = l == 0 ? radd_prev : device::Wave{};
-        link = exec.launch(
-            dev, stage::beta_v, ceil_div(L, n), n, ops,
-            (2 * std::int64_t(L) + Lk) * esz, serial,
-            {link, head_ywt, head_radd}, [&, r0, Lk, cg, L, l] {
+        dev.launch(stage::beta_v, ceil_div(L, n), n, ops,
+                   (2 * std::int64_t(L) + Lk) * esz, serial, [&] {
                      // Exact power-of-two column scaling guards against
                      // underflow of squared limbs (see make_reflector);
                      // the reflector (v, beta) is used in the scaled frame.
@@ -303,11 +270,9 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
           // column serially before the cross-block combine.
           const OpTally serial =
               O::fma() * std::min(L, n) + O::add() * 6 + O::mul_real();
-          link = exec.launch_tiled(
-              dev, stage::betaRTv, P, n, ops,
-              (std::int64_t(P) * L + L + P) * esz, serial,
-              blas::block_count(P, par), {link},
-              [&, cg, L, l, P, pan, vs](int task) {
+          dev.launch_tiled(
+              stage::betaRTv, P, n, ops, (std::int64_t(P) * L + L + P) * esz,
+              serial, blas::block_count(P, par), [&](int task) {
                 const auto blk = blas::block_range(P, par, task);
                 if constexpr (kFuse) {
                   const std::size_t at =
@@ -326,11 +291,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
         {  // (c) R_panel -= v w — disjoint column blocks of R
           const OpTally ops = O::fms() * (std::int64_t(P) * L);
           const OpTally serial = O::fms() * ceil_div(L, n);
-          link = exec.launch_tiled(
-              dev, stage::update_R, P, n, ops,
+          dev.launch_tiled(
+              stage::update_R, P, n, ops,
               (2 * std::int64_t(P) * L + L + P) * esz, serial,
-              blas::block_count(P, par), {link},
-              [&, cg, L, P, pan, vs](int task) {
+              blas::block_count(P, par), [&](int task) {
                 const auto blk = blas::block_range(P, par, task);
                 if constexpr (kFuse) {
                   const std::size_t at =
@@ -352,11 +316,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
     for (int l = 0; l < n; ++l) {
       if (l == 0) {
         const OpTally ops = O::mul_real() * Lk;
-        link = exec.launch_tiled(dev, stage::compute_W, ceil_div(Lk, n), n,
-                                 ops, 2 * std::int64_t(Lk) * esz,
-                                 O::mul_real() * ceil_div(Lk, n),
-                                 blas::block_count(Lk, par), {link},
-                                 [&, r0, Lk](int task) {
+        dev.launch_tiled(stage::compute_W, ceil_div(Lk, n), n, ops,
+                         2 * std::int64_t(Lk) * esz,
+                         O::mul_real() * ceil_div(Lk, n),
+                         blas::block_count(Lk, par), [&](int task) {
                            const auto blk = blas::block_range(Lk, par, task);
                            const RT nb = -betas[0];
                            for (int i = blk.begin; i < blk.end; ++i)
@@ -367,11 +330,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
            // each u_j is one whole dot, so tasks split over j only
           const OpTally ops = O::fma() * (std::int64_t(l) * Lk);
           const OpTally serial = O::fma() * ceil_div(Lk, n) + O::add() * 6;
-          link = exec.launch_tiled(
-              dev, stage::compute_W, l, n, ops,
+          dev.launch_tiled(
+              stage::compute_W, l, n, ops,
               ((std::int64_t(l) + 1) * Lk + l) * esz, serial,
-              blas::block_count(l, par), {link},
-              [&, r0, Lk, l](int task) {
+              blas::block_count(l, par), [&](int task) {
                 const auto blk = blas::block_range(l, par, task);
                 for (int j = blk.begin; j < blk.end; ++j) {
                   T s{};
@@ -390,11 +352,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
           const OpTally serial =
               O::fma() * (std::int64_t(l) * ceil_div(Lk, n)) + O::add() +
               O::mul_real();
-          link = exec.launch_tiled(
-              dev, stage::compute_W, ceil_div(Lk, n), n, ops,
+          dev.launch_tiled(
+              stage::compute_W, ceil_div(Lk, n), n, ops,
               ((std::int64_t(l) + 2) * Lk + l) * esz, serial,
-              blas::block_count(Lk, par), {link},
-              [&, r0, Lk, l](int task) {
+              blas::block_count(Lk, par), [&](int task) {
                 const auto blk = blas::block_range(Lk, par, task);
                 const RT nb = -betas[l];
                 for (int i = blk.begin; i < blk.end; ++i) {
@@ -408,20 +369,15 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
     }
 
     // ---- stage 3: update Q (formula (14)) --------------------------------
-    // Clear the stale tile-(k-2) active block of this parity's YWT buffer
-    // (one plane-contiguous sweep, md::planes, no md ops) — ordered after
-    // that tile's readers of the buffer.
-    const device::Wave fz =
-        exec.host(dev, "zero YWT", {qwyt_hist[pb], ywtc_hist[pb]},
-                  [YWTp] { YWTp->fill_zero(); });
-    device::Wave ywt;
+    // Clear the previous tile's active block (one plane-contiguous sweep,
+    // md::planes, no md ops).
+    if (fn) YWT.fill_zero();
     {  // YWT = Y W^H, nonzero only on the active [r0,M) x [r0,M) block
       const OpTally ops = O::fma() * (std::int64_t(Lk) * Lk * n);
-      ywt = exec.launch_tiled(
-          dev, stage::YWT, Lk * ceil_div(Lk, n), n, ops,
+      dev.launch_tiled(
+          stage::YWT, Lk * ceil_div(Lk, n), n, ops,
           (2 * std::int64_t(Lk) * n + std::int64_t(Lk) * Lk) * esz,
-          O::fma() * n, blas::block_count(Lk, par), {fz, link},
-          [&, r0, Lk, YWTp, Tkhi, Tklo](int task) {
+          O::fma() * n, blas::block_count(Lk, par), [&](int task) {
             const auto blk = blas::block_range(Lk, par, task);
             if constexpr (kFuse) {
               const std::size_t pan = static_cast<std::size_t>(r0) * n;
@@ -429,7 +385,7 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
               blas::fused::dd_gemm_nt(
                   Yhi + pan, Ylo + pan, static_cast<std::size_t>(n),
                   Whi + pan, Wlo + pan, static_cast<std::size_t>(n),
-                  Tkhi + act, Tklo + act, static_cast<std::size_t>(M), 0, Lk,
+                  Thi + act, Tlo + act, static_cast<std::size_t>(M), 0, Lk,
                   blk.begin, blk.end, 0, n);
             } else {
               blas::gemm_block<T>(
@@ -439,128 +395,101 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
                     return blas::conj_of(W.get(r0 + j, t));
                   },
                   [&](int i, int j, const T& s) {
-                    YWTp->set(r0 + i, r0 + j, s);
+                    YWT.set(r0 + i, r0 + j, s);
                   });
             }
           });
     }
-    device::Wave qwyt, qadd;
     {  // QWY = Q (YWT)^H — the full M-by-M product of the paper's kernel
       const OpTally ops = O::fma() * (std::int64_t(M) * M * M);
-      qwyt = exec.launch_tiled(
-          dev, stage::QWYT, ceil_div(M * M, n), n, ops,
+      dev.launch_tiled(
+          stage::QWYT, ceil_div(M * M, n), n, ops,
           3 * std::int64_t(M) * M * esz, O::fma() * M,
-          blas::block_count(M, par), {ywt, qadd_prev},
-          [&, YWTp, Tkhi, Tklo](int task) {
+          blas::block_count(M, par), [&](int task) {
             const auto blk = blas::block_range(M, par, task);
             if constexpr (kFuse) {
               blas::fused::dd_gemm_nt(
-                  Qhi, Qlo, static_cast<std::size_t>(M), Tkhi, Tklo,
-                  static_cast<std::size_t>(M), SQhi, SQlo,
+                  Qhi, Qlo, static_cast<std::size_t>(M), Thi, Tlo,
+                  static_cast<std::size_t>(M), Shi, Slo,
                   static_cast<std::size_t>(M), blk.begin, blk.end, 0, M, 0,
                   M);
             } else {
               blas::gemm_block<T>(
                   blk.begin, blk.end, 0, M, 0, M,
                   [&](int i, int t) { return Q.get(i, t); },
-                  [&](int t, int j) { return blas::conj_of(YWTp->get(j, t)); },
-                  [&](int i, int j, const T& s) { SCRQ.set(i, j, s); });
+                  [&](int t, int j) { return blas::conj_of(YWT.get(j, t)); },
+                  [&](int i, int j, const T& s) { SCR.set(i, j, s); });
             }
           });
     }
     {  // Q += QWY
       const OpTally ops = O::add() * (std::int64_t(M) * M);
-      qadd = exec.launch_tiled(dev, stage::Q_plus_QWY, ceil_div(M * M, n), n,
-                               ops, 3 * std::int64_t(M) * M * esz, O::add(),
-                               blas::block_count(M, par), {qwyt},
-                               [&](int task) {
-                                 const auto blk = blas::block_range(M, par, task);
-                                 if constexpr (kFuse) {
-                                   blas::fused::dd_ewise_add(
-                                       Qhi, Qlo, static_cast<std::size_t>(M),
-                                       SQhi, SQlo,
-                                       static_cast<std::size_t>(M), blk.begin,
-                                       blk.end, 0, M);
-                                 } else {
-                                   for (int i = blk.begin; i < blk.end; ++i)
-                                     for (int j = 0; j < M; ++j)
-                                       Q.set(i, j, Q.get(i, j) + SCRQ.get(i, j));
-                                 }
-                               });
+      dev.launch_tiled(stage::Q_plus_QWY, ceil_div(M * M, n), n, ops,
+                       3 * std::int64_t(M) * M * esz, O::add(),
+                       blas::block_count(M, par), [&](int task) {
+                         const auto blk = blas::block_range(M, par, task);
+                         if constexpr (kFuse) {
+                           blas::fused::dd_ewise_add(
+                               Qhi, Qlo, static_cast<std::size_t>(M), Shi,
+                               Slo, static_cast<std::size_t>(M), blk.begin,
+                               blk.end, 0, M);
+                         } else {
+                           for (int i = blk.begin; i < blk.end; ++i)
+                             for (int j = 0; j < M; ++j)
+                               Q.set(i, j, Q.get(i, j) + SCR.get(i, j));
+                         }
+                       });
     }
 
     // ---- stage 4: update the trailing columns of R (formula (15)) -------
     const int ce = r0 + n;
     const int tc = C - ce;  // trailing columns
-    device::Wave ywtc, radd;
     if (tc > 0) {
       {  // YWTC = YWT C over all M rows (rows above r0 contribute zeros);
          // one task per trailing-column block — the per-tile trailing
          // update of the task graph
         const OpTally ops = O::fma() * (std::int64_t(M) * M * tc);
-        ywtc = exec.launch_tiled(
-            dev, stage::YWTC, ceil_div(M * tc, n), n, ops,
+        dev.launch_tiled(
+            stage::YWTC, ceil_div(M * tc, n), n, ops,
             (std::int64_t(M) * M + 2 * std::int64_t(M) * tc) * esz,
-            O::fma() * M, blas::block_count(tc, par), {ywt, radd_prev},
-            [&, ce, tc, YWTp, Tkhi, Tklo](int task) {
+            O::fma() * M, blas::block_count(tc, par), [&](int task) {
               const auto blk = blas::block_range(tc, par, task);
               if constexpr (kFuse) {
                 blas::fused::dd_gemm_nn(
-                    Tkhi, Tklo, static_cast<std::size_t>(M), Rhi + ce,
-                    Rlo + ce, static_cast<std::size_t>(C), SRhi, SRlo,
+                    Thi, Tlo, static_cast<std::size_t>(M), Rhi + ce,
+                    Rlo + ce, static_cast<std::size_t>(C), Shi, Slo,
                     static_cast<std::size_t>(M), 0, M, blk.begin, blk.end, 0,
                     M);
               } else {
                 blas::gemm_block<T>(
                     0, M, blk.begin, blk.end, 0, M,
-                    [&](int i, int t) { return YWTp->get(i, t); },
+                    [&](int i, int t) { return YWT.get(i, t); },
                     [&](int t, int j) { return R.get(t, ce + j); },
-                    [&](int i, int j, const T& s) { SCRR.set(i, j, s); });
+                    [&](int i, int j, const T& s) { SCR.set(i, j, s); });
               }
             });
       }
       {  // R += YWTC
         const OpTally ops = O::add() * (std::int64_t(M) * tc);
-        radd = exec.launch_tiled(
-            dev, stage::R_plus_YWTC, ceil_div(M * tc, n), n, ops,
+        dev.launch_tiled(
+            stage::R_plus_YWTC, ceil_div(M * tc, n), n, ops,
             3 * std::int64_t(M) * tc * esz, O::add(),
-            blas::block_count(tc, par), {ywtc}, [&, ce, tc](int task) {
+            blas::block_count(tc, par), [&](int task) {
               const auto blk = blas::block_range(tc, par, task);
               if constexpr (kFuse) {
                 blas::fused::dd_ewise_add(
-                    Rhi + ce, Rlo + ce, static_cast<std::size_t>(C), SRhi,
-                    SRlo, static_cast<std::size_t>(M), 0, M, blk.begin,
-                    blk.end);
+                    Rhi + ce, Rlo + ce, static_cast<std::size_t>(C), Shi, Slo,
+                    static_cast<std::size_t>(M), 0, M, blk.begin, blk.end);
               } else {
                 for (int i = 0; i < M; ++i)
                   for (int j = blk.begin; j < blk.end; ++j)
-                    R.set(i, ce + j, R.get(i, ce + j) + SCRR.get(i, j));
+                    R.set(i, ce + j, R.get(i, ce + j) + SCR.get(i, j));
               }
             });
       }
     }
-
-    ywt_prev = ywt;
-    qadd_prev = qadd;
-    if (tc > 0) radd_prev = radd;
-    qwyt_hist[pb] = qwyt;
-    ywtc_hist[pb] = ywtc;  // empty when tc == 0
   }
-
-  // Deferred-mode execution happens HERE, while every scratch buffer the
-  // bodies captured is still alive; fork-join already ran everything.
-  exec.run(dev);
   return out;
-}
-
-// Fork-join staged driver — the historical entry point, schedule and
-// results unchanged.
-template <class T>
-StagedQr<T> blocked_qr_staged_run(device::Device& dev,
-                                  device::Staged2D<T>* a, int M, int C,
-                                  int n) {
-  device::DirectExec exec;
-  return blocked_qr_staged_exec<T>(dev, exec, a, M, C, n);
 }
 
 // Shared host-boundary driver.  `a` must be non-null in functional mode
@@ -592,6 +521,7 @@ BlockedQrOutput<T> blocked_qr_run(device::Device& dev,
 template <class T>
 BlockedQrOutput<T> blocked_qr(device::Device& dev, const blas::Matrix<T>& a,
                               int tile) {
+  check_qr_shape("blocked_qr", a.rows(), a.cols(), tile);
   return blocked_qr_run<T>(dev, &a, a.rows(), a.cols(), tile);
 }
 
@@ -606,6 +536,7 @@ StagedQr<T> blocked_qr_staged(device::Device& dev, device::Staged2D<T>&& a,
         "mdlsq: blocked_qr_staged needs a functional device (price dry "
         "schedules with blocked_qr_dry)");
   const int M = a.rows(), C = a.cols();
+  check_qr_shape("blocked_qr_staged", M, C, tile);
   device::Staged2D<T> local = std::move(a);
   return blocked_qr_staged_run<T>(dev, &local, M, C, tile);
 }
@@ -614,6 +545,7 @@ StagedQr<T> blocked_qr_staged(device::Device& dev, device::Staged2D<T>&& a,
 template <class T>
 void blocked_qr_dry(device::Device& dev, int rows, int cols, int tile) {
   assert(dev.mode() == device::ExecMode::dry_run);
+  check_qr_shape("blocked_qr_dry", rows, cols, tile);
   blocked_qr_run<T>(dev, nullptr, rows, cols, tile);
 }
 

@@ -18,13 +18,12 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "blas/gemm.hpp"
 #include "core/blocked_qr.hpp"
-#include "core/solve_options.hpp"
 #include "core/tiled_back_sub.hpp"
-#include "device/dag_scheduler.hpp"
 
 namespace mdlsq::core {
 
@@ -54,11 +53,11 @@ struct LeastSquaresResult {
 // ones, and this function issues the identical launches either way.
 // Functional mode returns the resident solution (the caller unstages it);
 // dry-run mode prices the identical schedule with null operands.
-template <class T, class Exec>
-device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
-                                           const StagedQr<T>* f,
-                                           const device::Staged1D<T>* sb,
-                                           int M, int C, int tile) {
+template <class T>
+device::Staged1D<T> staged_lsq_finish(device::Device& dev,
+                                      const StagedQr<T>* f,
+                                      const device::Staged1D<T>* sb, int M,
+                                      int C, int tile) {
   using O = ops_of<T>;
   const bool fn = dev.functional();
   assert(!fn || (f != nullptr && sb != nullptr));
@@ -66,18 +65,15 @@ device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
 
   // y = (Q^H b)[0:C] against the RESIDENT Q, one block per output entry;
   // each y_j is one whole dot product, so the launch fans out over column
-  // blocks (DESIGN.md §5).  Under the DAG schedule this wave is a root —
-  // it overlaps the diagonal-tile inversions of the back substitution.
+  // blocks (DESIGN.md §5).
   device::Staged1D<T> y;
   if (fn) y = device::Staged1D<T>(C);
-  device::Wave yw;
   {
     const md::OpTally ops = O::fma() * (std::int64_t(M) * C);
     const md::OpTally serial = O::fma() * ceil_div(M, tile) + O::add() * 6;
-    yw = exec.launch_tiled(
-        dev, stage::qhb, C, tile, ops, (std::int64_t(M) * C + M + C) * esz,
-        serial, blas::block_count(C, dev.parallelism()), {},
-        [&](int task) {
+    dev.launch_tiled(
+        stage::qhb, C, tile, ops, (std::int64_t(M) * C + M + C) * esz,
+        serial, blas::block_count(C, dev.parallelism()), [&](int task) {
           const auto blk = blas::block_range(C, dev.parallelism(), task);
           const auto qv = f->q.view();
           const auto bv = sb->view();
@@ -94,9 +90,7 @@ device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
     // The back substitution inverts diagonal tiles in place, so it runs
     // on a device-side copy of R's leading triangle (plane-contiguous
     // row-segment copies; zeros elsewhere) — the resident factors stay
-    // intact for reuse.  The copy is immediate host work: R is complete
-    // (the QR phase already executed) and the inversion nodes reading
-    // rtop run only once the phase graph runs, inside the call below.
+    // intact for reuse.
     device::Staged2D<T> rtop(C, C);
     const auto rv = f->r.view();
     const auto tv = rtop.view();
@@ -104,31 +98,21 @@ device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
       for (int s = 0; s < blas::StagedView<T>::planes; ++s)
         md::planes::copy(rv.row_segment(s, i, i, C - i),
                          tv.row_segment(s, i, i, C - i));
-    tiled_back_sub_staged_exec<T>(dev, exec, &rtop, &y, C / tile, tile, yw);
+    tiled_back_sub_staged_run<T>(dev, &rtop, &y, C / tile, tile);
   } else {
-    tiled_back_sub_staged_exec<T>(dev, exec, nullptr, nullptr, C / tile,
-                                  tile, yw);
+    tiled_back_sub_staged_run<T>(dev, nullptr, nullptr, C / tile, tile);
   }
   return y;
 }
 
-// Fork-join finish — the historical entry point (the serve layer's warm
-// path replays it), schedule and results unchanged.
+// The whole pipeline on M-by-C operands `a`/`b` (null in dry-run mode).
+// The shape contract is checked before any staging or launch.
 template <class T>
-device::Staged1D<T> staged_lsq_finish(device::Device& dev,
-                                      const StagedQr<T>* f,
-                                      const device::Staged1D<T>* sb, int M,
-                                      int C, int tile) {
-  device::DirectExec exec;
-  return staged_lsq_finish_exec<T>(dev, exec, f, sb, M, C, tile);
-}
-
-template <class T, class Exec>
-LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
-                                         const blas::Matrix<T>* a,
-                                         const blas::Vector<T>* b, int M,
-                                         int C, int tile) {
-  assert(C % tile == 0 && M >= C);
+LeastSquaresResult<T> least_squares_run(device::Device& dev,
+                                        const blas::Matrix<T>* a,
+                                        const blas::Vector<T>* b, int M,
+                                        int C, int tile) {
+  check_qr_shape("least_squares", M, C, tile);
   const bool fn = dev.functional();
   assert(!fn || (a != nullptr && b != nullptr));
 
@@ -145,16 +129,12 @@ LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
     dev.price_staging<T>(M, 1);
   }
 
-  // Launches are DECLARED at build time in program order under every
-  // executor, so the modeled kernel-time split below is executor-
-  // independent (the graph may still be executing tasks out of program
-  // order — declaration, not completion, prices the schedule).
-  StagedQr<T> f =
-      blocked_qr_staged_exec<T>(dev, exec, fn ? &sa : nullptr, M, C, tile);
+  StagedQr<T> f = blocked_qr_staged_run<T>(dev, fn ? &sa : nullptr, M, C,
+                                           tile);
   out.qr_kernel_ms = dev.kernel_ms();
 
-  device::Staged1D<T> y = staged_lsq_finish_exec<T>(
-      dev, exec, fn ? &f : nullptr, fn ? &sb : nullptr, M, C, tile);
+  device::Staged1D<T> y = staged_lsq_finish<T>(
+      dev, fn ? &f : nullptr, fn ? &sb : nullptr, M, C, tile);
   out.bs_kernel_ms = dev.kernel_ms() - out.qr_kernel_ms;
 
   if (fn) {
@@ -168,51 +148,16 @@ LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
   return out;
 }
 
-template <class T>
-LeastSquaresResult<T> least_squares_run(device::Device& dev,
-                                        const blas::Matrix<T>* a,
-                                        const blas::Vector<T>* b, int M,
-                                        int C, int tile) {
-  device::DirectExec exec;
-  return least_squares_exec<T>(dev, exec, a, b, M, C, tile);
-}
-
-// Functional entry point.  `schedule` selects the host execution policy:
-// fork_join replays the historical barrier schedule; dag runs the same
-// launches event-driven over the Device's pool (results bit-identical,
-// tallies exact — DESIGN.md §13).
+// Functional entry point.
 template <class T>
 LeastSquaresResult<T> least_squares(device::Device& dev,
                                     const blas::Matrix<T>& a,
-                                    const blas::Vector<T>& b, int tile,
-                                    SchedulePolicy schedule =
-                                        SchedulePolicy::fork_join) {
-  if (schedule == SchedulePolicy::dag) {
-    device::GraphExec exec;
-    return least_squares_exec<T>(dev, exec, &a, &b, a.rows(), a.cols(),
-                                 tile);
-  }
+                                    const blas::Vector<T>& b, int tile) {
+  if (static_cast<int>(b.size()) != a.rows())
+    throw std::invalid_argument(
+        "mdlsq: least_squares: right-hand side length must equal the row "
+        "count");
   return least_squares_run<T>(dev, &a, &b, a.rows(), a.cols(), tile);
-}
-
-// Dry-run DAG pricing: the modeled makespan of the pipeline's task graph
-// on `lanes` concurrent execution lanes, against the serialized schedule
-// (the fork-join lower bound dev.kernel_ms() approaches as waves widen).
-struct DagPricing {
-  double makespan_ms = 0;       // modeled event-driven completion time
-  double serialized_ms = 0;     // sum of node times (1-lane schedule)
-  double critical_path_ms = 0;  // longest dependency chain
-};
-
-template <class T>
-DagPricing least_squares_dag_dry(device::Device& dev, int rows, int cols,
-                                 int tile, int lanes) {
-  assert(dev.mode() == device::ExecMode::dry_run);
-  device::GraphExec exec;
-  least_squares_exec<T>(dev, exec, nullptr, nullptr, rows, cols, tile);
-  const device::MakespanResult m =
-      device::dag_makespan(exec.graph(), {1, lanes});
-  return {m.makespan_ms, m.serialized_ms, m.critical_path_ms};
 }
 
 // Dry-run entry point.

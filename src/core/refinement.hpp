@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cassert>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -97,14 +96,12 @@ blas::Vector<TL> correction_solve_run(device::Device& dev,
 // same multiple-double operation order, so the result is limb-identical
 // to a solve against the unstaged factors (the staged conformance suite
 // pins it).
-template <class T, class Exec>
-device::Wave correction_solve_staged_exec(device::Device& dev, Exec& exec,
-                                          const device::Staged2D<T>* q,
-                                          const device::Staged2D<T>* rtop,
-                                          std::span<const T> r,
-                                          blas::Vector<T>* out, int m, int c,
-                                          int tile,
-                                          device::Wave after = {}) {
+template <class T>
+blas::Vector<T> correction_solve_staged_run(device::Device& dev,
+                                            const device::Staged2D<T>* q,
+                                            const device::Staged2D<T>* rtop,
+                                            std::span<const T> r, int m,
+                                            int c, int tile) {
   using O = ops_of<T>;
   const bool fn = dev.functional();
   if (fn && (q == nullptr || rtop == nullptr ||
@@ -113,59 +110,34 @@ device::Wave correction_solve_staged_exec(device::Device& dev, Exec& exec,
     throw std::invalid_argument(
         "mdlsq: staged correction solve needs resident factors and a "
         "matching residual");
-  assert(!fn || out != nullptr);
   const std::int64_t esz = 8 * blas::scalar_traits<T>::doubles_per_element;
 
-  // Wall-clock transfer model: residual in, correction out — one priced
-  // transfer node, so under a DAG schedule the upload of one solve's
-  // residual can overlap another solve's kernels (double buffering).
-  const device::Wave up = exec.transfer_node(
-      dev, "residual transfer", (std::int64_t(m) + c) * esz, {after});
+  // Wall-clock transfer model: residual in, correction out.
+  dev.transfer((std::int64_t(m) + c) * esz);
 
-  // The intermediate y = (Q^H r)[0:c] is shared by the two launch bodies;
-  // under a deferred executor they may run long after this frame returns,
-  // so it lives on the heap, owned by the closures.  The caller keeps the
-  // residual storage behind `r` and `*out` alive until the graph runs.
-  auto y = std::make_shared<blas::Vector<T>>(c);
-  device::Wave qhr;
+  blas::Vector<T> y(c);
   {
     const md::OpTally ops = O::fma() * (std::int64_t(m) * c);
     const md::OpTally serial = O::fma() * ceil_div(m, tile) + O::add() * 6;
-    qhr = exec.launch(dev, stage::ref_qhr, c, tile, ops,
-                      (std::int64_t(m) * c + m + c) * esz, serial, {up},
-                      [q, r, y, c] {
-                        blas::gemv_adjoint_cols<T>(q->view(), r,
-                                                   std::span<T>(*y), 0, c);
-                      });
+    dev.launch(stage::ref_qhr, c, tile, ops,
+               (std::int64_t(m) * c + m + c) * esz, serial, [&] {
+                 blas::gemv_adjoint_cols<T>(q->view(), r, std::span<T>(y), 0,
+                                            c);
+               });
   }
 
-  device::Wave bs;
+  blas::Vector<T> dx;
   {
     const md::OpTally ops =
         O::fms() * (std::int64_t(c) * (c - 1) / 2) + O::div() * c;
     // The solve is one dependency chain from the last row up.
     const md::OpTally serial = (O::fms() + O::div()) * c;
-    bs = exec.launch(dev, stage::ref_bs, 1, tile, ops,
-                     (std::int64_t(c) * c / 2 + 2 * c) * esz, serial, {qhr},
-                     [rtop, y, out] {
-                       *out = blas::back_substitute_view<T>(
-                           rtop->view(), std::span<const T>(*y));
-                     });
+    dev.launch(stage::ref_bs, 1, tile, ops,
+               (std::int64_t(c) * c / 2 + 2 * c) * esz, serial, [&] {
+                 dx = blas::back_substitute_view<T>(rtop->view(),
+                                                    std::span<const T>(y));
+               });
   }
-  return bs;
-}
-
-template <class T>
-blas::Vector<T> correction_solve_staged_run(device::Device& dev,
-                                            const device::Staged2D<T>* q,
-                                            const device::Staged2D<T>* rtop,
-                                            std::span<const T> r, int m,
-                                            int c, int tile) {
-  device::DirectExec exec;
-  blas::Vector<T> dx;
-  correction_solve_staged_exec<T>(dev, exec, q, rtop, r,
-                                  dev.functional() ? &dx : nullptr, m, c,
-                                  tile);
   return dx;
 }
 

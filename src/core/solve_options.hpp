@@ -7,7 +7,9 @@
 //   parallelism — tiled kernel bodies of every Device the driver runs
 //     execute as up to `parallelism` concurrent tasks (DESIGN.md §5).
 //     Results are bit-identical at every width; the knob changes only how
-//     the host spends wall-clock.
+//     the host spends wall-clock.  There is one executor: every launch
+//     fans its tasks out through Device::launch_tiled and joins before
+//     the next launch issues, so no schedule option exists beside this.
 //
 //   tile_pool — the util::ThreadPool those tasks borrow helpers from.
 //     Null with parallelism > 1 means the driver owns a pool for the
@@ -31,18 +33,6 @@ class ThreadPool;
 }
 
 namespace mdlsq::core {
-
-// How a staged driver turns its launch schedule into host execution —
-// the explicit argument of least_squares(dev, a, b, tile, schedule) and
-// DagSolveOptions::schedule (core/dag_solve.hpp):
-//   fork_join — every launch is a barrier: its tiled tasks fan out over
-//     the pool and join before the next launch issues (DESIGN.md §5);
-//   dag — launches become nodes of a device::TaskGraph with explicit
-//     event edges and run event-driven (per-device ready queues, work
-//     stealing, no wave barriers — DESIGN.md §13).  Results stay
-//     bit-identical to fork_join and sequential, and measured == analytic
-//     tallies hold, by construction.
-enum class SchedulePolicy { fork_join, dag };
 
 struct ExecOptions {
   // Host execution engine width (DESIGN.md §5): tiled kernel bodies run

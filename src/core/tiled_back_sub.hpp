@@ -39,13 +39,13 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
 #include "blas/panel.hpp"
 #include "core/tally_rules.hpp"
-#include "device/dag.hpp"
 #include "device/launch.hpp"
 #include "device/staged.hpp"
 
@@ -62,26 +62,23 @@ inline constexpr std::int64_t bs_paper_launches(int nt) noexcept {
   return 1 + std::int64_t(nt) * (nt + 1) / 2;
 }
 
+// The tiling contract of the back-substitution entry points: at least one
+// tile of at least one row.  Checked before any staging or launch
+// (std::invalid_argument, kept under NDEBUG).
+inline void check_bs_tiling(const char* who, int tiles, int tile_size) {
+  if (tiles < 1 || tile_size < 1)
+    throw std::invalid_argument(std::string("mdlsq: ") + who +
+                                ": tile count and tile size must be >= 1");
+}
+
 // Staged-resident driver: solves U x = b in place — on entry `x` holds
 // the staged right-hand side, on return the solution; `u`'s diagonal
 // tiles are replaced by their inverses.  Both non-null in functional
 // mode, null in dry-run mode.  Launch schedule only; the caller owns the
 // stage()/unstage() transfer pricing.
-//
-// Executor parameterization (DESIGN.md §13): under device::GraphExec the
-// diagonal-tile inversions are root tasks that overlap whatever produced
-// the right-hand side (`x_ready` — the Q^H b wave when called from the
-// least-squares finish), while the bottom-up traversal is the natural
-// chain multiply(i) -> update(i) -> multiply(i-1): update(i) reads the
-// x-tile multiply(i) wrote and writes the tiles every earlier step reads.
-// The accumulated graph RUNS before this function returns (the shared xi
-// scratch below lives in this frame), which also executes any nodes the
-// caller queued earlier in the same phase.
-template <class T, class Exec>
-void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
-                                device::Staged2D<T>* u,
-                                device::Staged1D<T>* x, int nt, int n,
-                                device::Wave x_ready = {}) {
+template <class T>
+void tiled_back_sub_staged_run(device::Device& dev, device::Staged2D<T>* u,
+                               device::Staged1D<T>* x, int nt, int n) {
   using traits = blas::scalar_traits<T>;
   using O = ops_of<T>;
   using md::OpTally;
@@ -97,7 +94,6 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
   const std::int64_t esz = 8 * traits::doubles_per_element;
   const int par = dev.parallelism();
 
-  device::Wave invert;
   {  // stage 1: invert all diagonal tiles in place
     // Per inverse column k: one division for the pivot, then for each row
     // j < k a dot of length k-j and a division.
@@ -107,10 +103,9 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
         O::fma() * (fma_tile * nt) + O::div() * (div_tile * nt);
     const OpTally serial =  // the last column dominates a thread's work
         O::fma() * (std::int64_t(n) * (n - 1) / 2) + O::div() * n;
-    invert = exec.launch_tiled(
-        dev, stage::bs_invert, nt, n, ops,
-        2 * std::int64_t(nt) * n * n * esz, serial,
-        blas::block_count(nt, par), {}, [&](int task) {
+    dev.launch_tiled(
+        stage::bs_invert, nt, n, ops, 2 * std::int64_t(nt) * n * n * esz,
+        serial, blas::block_count(nt, par), [&](int task) {
           const auto blk = blas::block_range(nt, par, task);
           std::vector<T> vinv(std::size_t(n) * n);
           for (int tile = blk.begin; tile < blk.end; ++tile) {
@@ -126,27 +121,20 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
         });
   }
 
-  // stage 2: bottom-up traversal — the sequential wave chain of the DAG:
-  // multiply(nt-1) waits on the inverses and the right-hand side, each
-  // update(i) on its multiply(i), each multiply(i-1) on update(i).
+  // stage 2: bottom-up traversal
   std::vector<T> xi(n);
-  device::Wave prev;
   for (int i = nt - 1; i >= 0; --i) {
     const int d = i * n;
     {  // x_i = U_i^{-1} b_i
       const OpTally ops = O::fma() * (std::int64_t(n) * n);
-      const device::Wave first = i == nt - 1 ? x_ready : device::Wave{};
-      prev = exec.launch(dev, stage::bs_multiply, 1, n, ops,
-                         (std::int64_t(n) * n + 2 * n) * esz, O::fma() * n,
-                         {invert, first, prev}, [&, d] {
-                           blas::gemv_rows<T>(
-                               u->view(d, d, n, n),
-                               [&](int t) { return x->get(d + t); },
-                               [&](int r, const T& s) {
-                                 xi[std::size_t(r)] = s;
-                               });
-                           for (int r = 0; r < n; ++r) x->set(d + r, xi[r]);
-                         });
+      dev.launch(stage::bs_multiply, 1, n, ops,
+                 (std::int64_t(n) * n + 2 * n) * esz, O::fma() * n, [&] {
+                   blas::gemv_rows<T>(
+                       u->view(d, d, n, n),
+                       [&](int t) { return x->get(d + t); },
+                       [&](int r, const T& s) { xi[std::size_t(r)] = s; });
+                   for (int r = 0; r < n; ++r) x->set(d + r, xi[r]);
+                 });
     }
     if (i > 0) {  // b_j -= A_{j,i} x_i for all j < i, one concurrent wave:
                   // row block j owns X[j*n, (j+1)*n) exclusively, so the
@@ -154,10 +142,10 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
       const OpTally ops =
           (O::fma() * n + O::sub()) * (std::int64_t(i) * n);
       const OpTally serial = O::fma() * n + O::sub();
-      prev = exec.launch_tiled(
-          dev, stage::bs_update, i, n, ops,
+      dev.launch_tiled(
+          stage::bs_update, i, n, ops,
           (std::int64_t(i) * n * n + 2 * std::int64_t(i) * n + n) * esz,
-          serial, blas::block_count(i, par), {prev}, [&, i, d](int task) {
+          serial, blas::block_count(i, par), [&](int task) {
             const auto blk = blas::block_range(i, par, task);
             for (int j = blk.begin; j < blk.end; ++j)
               for (int r = 0; r < n; ++r) {
@@ -169,19 +157,6 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
           });
     }
   }
-
-  // Deferred-mode execution of THIS PHASE's accumulated graph (including
-  // any nodes the caller queued before handing us the executor) happens
-  // here, while the shared xi scratch is alive.
-  exec.run(dev);
-}
-
-// Fork-join staged driver — the historical entry point, unchanged.
-template <class T>
-void tiled_back_sub_staged_run(device::Device& dev, device::Staged2D<T>* u,
-                               device::Staged1D<T>* x, int nt, int n) {
-  device::DirectExec exec;
-  tiled_back_sub_staged_exec<T>(dev, exec, u, x, nt, n);
 }
 
 // Shared host-boundary driver; `u` and `b` non-null in functional mode.
@@ -214,6 +189,15 @@ template <class T>
 blas::Vector<T> tiled_back_sub(device::Device& dev, const blas::Matrix<T>& u,
                                const blas::Vector<T>& b, int tiles,
                                int tile_size) {
+  check_bs_tiling("tiled_back_sub", tiles, tile_size);
+  const std::int64_t dim = std::int64_t(tiles) * tile_size;
+  if (u.rows() != dim || u.cols() != dim)
+    throw std::invalid_argument(
+        "mdlsq: tiled_back_sub: U must be (tiles * tile_size)-square");
+  if (static_cast<std::int64_t>(b.size()) != dim)
+    throw std::invalid_argument(
+        "mdlsq: tiled_back_sub: right-hand side length must equal the row "
+        "count");
   return tiled_back_sub_run<T>(dev, &u, &b, tiles, tile_size);
 }
 
@@ -221,6 +205,7 @@ blas::Vector<T> tiled_back_sub(device::Device& dev, const blas::Matrix<T>& u,
 template <class T>
 void tiled_back_sub_dry(device::Device& dev, int tiles, int tile_size) {
   assert(dev.mode() == device::ExecMode::dry_run);
+  check_bs_tiling("tiled_back_sub_dry", tiles, tile_size);
   tiled_back_sub_run<T>(dev, nullptr, nullptr, tiles, tile_size);
 }
 

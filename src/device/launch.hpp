@@ -22,9 +22,10 @@
 // only how the host spends wall-clock on the body — and per-task measured
 // tallies are summed in task-index order, so measured == analytic and
 // bit-identical results hold at every parallelism width (DESIGN.md §5).
+// launch()/launch_tiled() are the one executor: every solver issues its
+// schedule through them, and each launch joins before the next issues.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -167,44 +168,6 @@ class Device {
 
   // Records a host <-> device transfer of `bytes` (wall-clock model only).
   void transfer(std::int64_t bytes) noexcept { transfer_bytes_ += bytes; }
-
-  // Modeled wire time for `bytes`, without recording anything — the price
-  // a DAG transfer node carries (device/dag.hpp).
-  double transfer_ms(std::int64_t bytes) const noexcept {
-    return transfer_time_ms(*spec_, bytes, tp_);
-  }
-
-  // --- deferred launches (task-DAG execution, DESIGN.md §13) -------------
-  // declare_deferred() performs a launch's full declared bookkeeping
-  // (stage aggregate, blocks, analytic tally, bytes, modeled time) WITHOUT
-  // running a body: a graph builder declares every launch in program order
-  // on one thread — so per-stage sums, including the floating-point
-  // kernel_ms accumulation order, are bit-identical to the fork-join
-  // walk — and hands the bodies to the scheduler as task nodes.  The
-  // returned stage INDEX stays valid across stages_ reallocation (a bare
-  // StageStats* would not).  record_measured() folds a task's measured
-  // tally back into its stage; the graph executor calls it once per node
-  // in node-id (= declaration/program) order after the run, which is the
-  // same order launch_tiled() sums per-task tallies — measured == analytic
-  // holds exactly, regardless of completion order.
-  struct DeferredLaunch {
-    int stage_index;   // index into stages()
-    double kernel_ms;  // modeled time of THIS launch
-  };
-
-  DeferredLaunch declare_deferred(std::string_view stage, int blocks,
-                                  int threads, const md::OpTally& ops,
-                                  std::int64_t bytes,
-                                  const md::OpTally& serial) {
-    const Declared d = declare(stage, blocks, threads, ops, bytes, serial);
-    return {static_cast<int>(d.stats - stages_.data()), d.kernel_ms};
-  }
-
-  void record_measured(int stage_index, const md::OpTally& t) noexcept {
-    assert(stage_index >= 0 &&
-           stage_index < static_cast<int>(stages_.size()));
-    stages_[static_cast<std::size_t>(stage_index)].measured += t;
-  }
 
   // --- staged residency (DESIGN.md §8) -----------------------------------
   // stage()/unstage() are the EXPLICIT priced host<->device transfers of

@@ -44,7 +44,8 @@ namespace mdlsq::obs {
 // Span categories — the rows of the timeline.  One per architectural
 // layer: kernel/transfer/panel come from device/ and core/, ladder from
 // the adaptive precision ladder, step from the path tracker, queue/cache/
-// service from the solver daemon, sched from the task-DAG scheduler.
+// service from the solver daemon.  Nothing emits sched; it stays because
+// trace consumers read every category by name, and it reports 0.
 enum class Cat : std::uint8_t {
   kernel,
   transfer,

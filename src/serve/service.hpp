@@ -89,7 +89,8 @@ struct ServiceOptions {
   int parallelism = 1;
   // Streamed per-job report rows, called as each job completes (from the
   // worker thread that ran it; the sink must be thread-safe).  The job id
-  // is row.problems[0].
+  // is row.problems[0].  drain() returns only after every sink call of
+  // the jobs it waited for has returned.
   std::function<void(const util::BatchDeviceRow&)> row_sink;
   // Optional telemetry sink (DESIGN.md §12): admission counters by
   // outcome, queue depth / backlog gauges, queue-wait histogram,
@@ -304,18 +305,18 @@ class SolverService {
     }
   }
 
+  // The solvers' shape contract (core::qr_shape_error), plus at least one
+  // column and a right-hand side of the row count.
   static void validate_lsq_shape(const blas::Matrix<T>& a,
                                  const blas::Vector<T>& b, int tile,
                                  const char* kind) {
-    if (a.rows() < 1 || a.cols() < 1 || a.rows() < a.cols())
-      throw std::invalid_argument(std::string("mdlsq: ") + kind +
-                                  " needs rows >= cols >= 1");
-    if (static_cast<int>(b.size()) != a.rows())
-      throw std::invalid_argument(std::string("mdlsq: ") + kind +
-                                  " rhs length must equal rows");
-    if (tile < 1 || a.cols() % tile != 0)
-      throw std::invalid_argument(std::string("mdlsq: ") + kind +
-                                  " tile must be >= 1 and divide cols");
+    const char* err = a.cols() < 1
+                          ? "needs at least one column"
+                          : core::qr_shape_error(a.rows(), a.cols(), tile);
+    if (err == nullptr && static_cast<int>(b.size()) != a.rows())
+      err = "right-hand side length must equal the row count";
+    if (err != nullptr)
+      throw std::invalid_argument(std::string("mdlsq: ") + kind + ": " + err);
   }
 
   // Admission price: the modeled wall time of the job's dry-run schedule
@@ -404,6 +405,10 @@ class SolverService {
         error = std::current_exception();
       }
 
+      // The sink runs BEFORE the completion block below: drain() waits
+      // for running == 0 under mu_, so every sink call happens-before
+      // drain() returns and the caller may read what the sink wrote.
+      if (ok && opt_.row_sink) opt_.row_sink(resp.row);
       {
         std::lock_guard<std::mutex> lock(mu_);
         --stats_.running;
@@ -424,7 +429,6 @@ class SolverService {
           ++stats_.failed;
         }
       }
-      if (ok && opt_.row_sink) opt_.row_sink(resp.row);
       if (ok)
         job.promise.set_value(std::move(resp));
       else

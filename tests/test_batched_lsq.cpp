@@ -6,9 +6,13 @@
 // thread pool underneath it all.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "blas/generate.hpp"
 #include "core/batched_lsq.hpp"
@@ -275,6 +279,75 @@ TEST(BatchedLsq, ComplexAdaptiveBatchThrows) {
                std::invalid_argument);
   EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
                std::invalid_argument);
+}
+
+// Every problem's shape is checked on the calling thread before pricing,
+// in Release builds too, and the error names the offending problem.
+TEST(BatchedLsq, BadProblemShapeThrowsNamingItsIndex) {
+  using T = md::dd_real;
+  auto pool = DevicePool::homogeneous(device::volta_v100(), 2);
+  auto expect_names = [&](const std::vector<BatchProblem<T>>& batch,
+                          const BatchedLsqOptions& opt, const char* what) {
+    try {
+      core::batched_least_squares<T>(pool, batch, opt);
+      ADD_FAILURE() << "no exception for " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  BatchedLsqOptions opt;
+  opt.tile = kTile;
+  for (ShardPolicy policy :
+       {ShardPolicy::round_robin, ShardPolicy::greedy_by_modeled_time}) {
+    opt.policy = policy;
+    opt.mode = device::ExecMode::functional;
+    auto batch = make_batch<T>(4, 29);
+    batch[1].b.pop_back();  // short right-hand side
+    expect_names(batch, opt, "problem 1");
+
+    opt.mode = device::ExecMode::dry_run;
+    std::vector<BatchProblem<T>> dry = {
+        BatchProblem<T>::dry(16, 8), BatchProblem<T>::dry(16, 8),
+        BatchProblem<T>::dry(16, 6),  // cols not a multiple of the tile
+        BatchProblem<T>::dry(4, 8)};  // rows < cols
+    expect_names(dry, opt, "problem 2");
+    dry[2] = BatchProblem<T>::dry(16, 8);
+    expect_names(dry, opt, "problem 3");
+  }
+}
+
+// run_batch reports the LOWEST failing item, whatever the timing: on two
+// round-robin slots item 2 (shard 0) fails at once while item 1 (shard 1)
+// fails late, yet item 1's error must surface at every thread count.
+TEST(BatchRunner, RethrowsTheLowestFailingItem) {
+  auto pool = DevicePool::homogeneous(device::volta_v100(), 2);
+  core::BatchOptions opt;
+  const auto shards = core::assign_shards(
+      pool, 4, opt, [](const device::DeviceSpec&, int) { return 1.0; });
+  ASSERT_EQ(shards, (std::vector<std::vector<int>>{{0, 2}, {1, 3}}));
+  for (int threads : {1, 2}) {
+    opt.threads = threads;
+    std::atomic<int> ran_after_failure{0};
+    auto solve = [&](const device::DeviceSpec&, int, int i,
+                     util::ThreadPool*) {
+      if (i == 2) throw std::runtime_error("item 2");
+      if (i == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("item 1");
+      }
+      if (i == 3) ++ran_after_failure;  // shard 1 stops at item 1
+      return core::ItemCost{};
+    };
+    util::BatchReport rep;
+    try {
+      core::run_batch(pool, shards, opt, solve, rep);
+      ADD_FAILURE() << "no exception at threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 1") << "threads " << threads;
+    }
+    EXPECT_EQ(ran_after_failure.load(), 0);
+  }
 }
 
 // The shared LPT assigner sorts by each item's WORST per-slot estimate.

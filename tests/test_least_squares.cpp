@@ -3,10 +3,14 @@
 // harness — seeded shape sweeps with the normal-equations optimality
 // oracle A^H (b - A x) = 0, host-baseline agreement, tally exactness and
 // dry-run equivalence replace the fixed dimensions this file used to
-// enumerate — plus the QR-vs-BS time split of Table 11.
+// enumerate — plus the QR-vs-BS time split of Table 11 and the shape
+// contract every solver entry point enforces in Release builds.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "blas/generate.hpp"
 #include "blas/norms.hpp"
@@ -109,4 +113,105 @@ TEST(LeastSquares, StageListIsQrThenQhbThenBs) {
   }
   EXPECT_TRUE(saw_qhb);
   EXPECT_TRUE(saw_bs_after_qhb);
+}
+
+// --- shape contract, in the default Release build ----------------------------
+// The build compiles assert out, so these checks must be real throws: a
+// right-hand side shorter than A read past its end in the Q^H b launch,
+// M < C wrote past R's end in blocked QR, and a tile that does not
+// divide C ran the whole QR before failing in back substitution.  Every
+// entry point now rejects the shape before any staging or launch, so a
+// refused call leaves the device untouched.
+
+namespace {
+
+using ShapeT = md::dd_real;
+
+// Runs `call` against a fresh device of `mode` and expects it to throw
+// std::invalid_argument with no launch and no transfer recorded.
+template <class F>
+void expect_rejected_untouched(device::ExecMode mode, F&& call) {
+  auto dev = make_dev<ShapeT>(mode);
+  EXPECT_THROW(call(dev), std::invalid_argument);
+  EXPECT_EQ(dev.launches(), 0);
+  EXPECT_EQ(dev.wall_ms(), 0.0);  // nothing staged either
+}
+
+}  // namespace
+
+TEST(ShapeContract, LeastSquaresRejectsBadShapesBeforeAnyLaunch) {
+  std::mt19937_64 gen(0x5a9e1);
+  const auto a = blas::random_matrix<ShapeT>(16, 8, gen);
+  const auto b = blas::random_vector<ShapeT>(16, gen);
+  const auto fn = device::ExecMode::functional;
+  const auto lsq = [](const blas::Matrix<ShapeT>& m,
+                      const blas::Vector<ShapeT>& v, int tile) {
+    return [&m, &v, tile](device::Device& dev) {
+      core::least_squares(dev, m, v, tile);
+    };
+  };
+  const auto short_b = blas::random_vector<ShapeT>(15, gen);
+  const auto long_b = blas::random_vector<ShapeT>(17, gen);
+  const auto wide = blas::random_matrix<ShapeT>(4, 8, gen);
+  const auto wide_b = blas::random_vector<ShapeT>(4, gen);
+  expect_rejected_untouched(fn, lsq(a, short_b, 4));
+  expect_rejected_untouched(fn, lsq(a, long_b, 4));
+  expect_rejected_untouched(fn, lsq(wide, wide_b, 4));  // M < C
+  expect_rejected_untouched(fn, lsq(a, b, 3));          // C % tile != 0
+  expect_rejected_untouched(fn, lsq(a, b, 0));          // tile < 1
+  expect_rejected_untouched(fn, lsq(a, b, -4));
+
+  const auto dry = device::ExecMode::dry_run;
+  for (const auto& [m, c, tile] :
+       {std::tuple{4, 8, 4}, std::tuple{16, 8, 3}, std::tuple{16, 8, 0}})
+    expect_rejected_untouched(dry, [m, c, tile](device::Device& dev) {
+      core::least_squares_dry<ShapeT>(dev, m, c, tile);
+    });
+
+  // The valid shape still solves.
+  auto dev = make_dev<ShapeT>(fn);
+  EXPECT_EQ(core::least_squares(dev, a, b, 4).x.size(), 8u);
+}
+
+TEST(ShapeContract, BlockedQrRejectsBadShapesBeforeAnyLaunch) {
+  std::mt19937_64 gen(0x5a9e2);
+  const auto fn = device::ExecMode::functional;
+  for (const auto& [m, c, tile] :
+       {std::tuple{4, 8, 4}, std::tuple{16, 8, 3}, std::tuple{16, 8, 0}}) {
+    const auto a = blas::random_matrix<ShapeT>(m, c, gen);
+    expect_rejected_untouched(fn, [&a, tile](device::Device& dev) {
+      core::blocked_qr(dev, a, tile);
+    });
+    expect_rejected_untouched(fn, [&a, tile](device::Device& dev) {
+      core::blocked_qr_staged(dev, device::Staged2D<ShapeT>::from_host(a),
+                              tile);
+    });
+    expect_rejected_untouched(
+        device::ExecMode::dry_run, [m, c, tile](device::Device& dev) {
+          core::blocked_qr_dry<ShapeT>(dev, m, c, tile);
+        });
+  }
+}
+
+TEST(ShapeContract, TiledBackSubRejectsBadShapesBeforeAnyLaunch) {
+  std::mt19937_64 gen(0x5a9e3);
+  const auto u = blas::random_matrix<ShapeT>(8, 8, gen);
+  const auto b = blas::random_vector<ShapeT>(8, gen);
+  const auto short_b = blas::random_vector<ShapeT>(7, gen);
+  const auto fn = device::ExecMode::functional;
+  const auto bs = [](const blas::Matrix<ShapeT>& m,
+                     const blas::Vector<ShapeT>& v, int tiles, int size) {
+    return [&m, &v, tiles, size](device::Device& dev) {
+      core::tiled_back_sub(dev, m, v, tiles, size);
+    };
+  };
+  expect_rejected_untouched(fn, bs(u, short_b, 2, 4));  // rhs length
+  expect_rejected_untouched(fn, bs(u, b, 3, 4));        // U not 12-square
+  expect_rejected_untouched(fn, bs(u, b, 2, 0));        // tile size < 1
+  expect_rejected_untouched(fn, bs(u, b, 0, 8));        // no tiles
+  for (const auto& [tiles, size] : {std::pair{0, 4}, std::pair{2, 0}})
+    expect_rejected_untouched(
+        device::ExecMode::dry_run, [tiles, size](device::Device& dev) {
+          core::tiled_back_sub_dry<ShapeT>(dev, tiles, size);
+        });
 }

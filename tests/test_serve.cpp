@@ -6,6 +6,7 @@
 // run under the default Release build, so they pin NDEBUG survival).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <random>
 #include <string>
@@ -302,6 +303,29 @@ TEST(ServeAdmission, ModeledBacklogLimitRejectsWithReason) {
   ASSERT_FALSE(t2.accepted);
   EXPECT_NE(t2.reject_reason.find("backlog"), std::string::npos);
   svc.drain();
+}
+
+// --- drain ------------------------------------------------------------------
+
+// drain() must not return while a row_sink call is still running: the
+// sink is part of completing a job, and the caller reads what it wrote.
+// The sink sleeps 300 ms and drain() starts 150 ms after submit, long
+// after the tiny solve itself finished; the row must still be there.
+TEST(ServeDrain, WaitsForTheLastRowSinkCall) {
+  auto [a, b] = random_problem<2>(16, 8, 0xd7a1);
+  int rows_sunk = 0;  // written on the worker, read after drain()
+  serve::ServiceOptions opt;
+  opt.row_sink = [&rows_sunk](const util::BatchDeviceRow&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ++rows_sunk;
+  };
+  serve::SolverService<2> svc(
+      core::DevicePool::homogeneous(device::volta_v100(), 1), opt);
+  auto ticket = svc.submit(lsq_request<2>(a, b, 8));
+  ASSERT_TRUE(ticket.accepted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  svc.drain();
+  EXPECT_EQ(rows_sunk, 1);
 }
 
 // --- fair-share scheduling --------------------------------------------------

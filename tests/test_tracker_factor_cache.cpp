@@ -1,5 +1,5 @@
 // Cross-step factor residency in the path tracker
-// (TrackOptions::reuse_factors, DESIGN.md §13): an accepted step's QR
+// (TrackOptions::reuse_factors, DESIGN.md §7): an accepted step's QR
 // factorization and Taylor series stay device-resident and serve the next
 // step's predictor/corrector as long as the next center remains inside
 // the factorization's trust budget (step_factor * pole_radius from the

@@ -59,13 +59,6 @@ What is gated, and why (DESIGN.md §6):
   pipeline, so serving warm must beat cold outright on any host —
   a cache that stops paying for itself is a regression even where the
   baseline ratios do not apply.
-* dag_speedup (fork-join wall / DAG-schedule wall, the dagsolve cases of
-  bench_suite) and makespan_ratio (serialized modeled schedule / modeled
-  DAG makespan, dry-run) — gated by --min-dag-speedup (off by default):
-  the measured ratio is an absolute floor with the same
-  hardware_concurrency >= 2 guard as --min-speedup, while the modeled
-  makespan_ratio must exceed 1 on every case carrying it, on any host —
-  the dry-run pricer is machine-independent (DESIGN.md §13).
 * bit_identical / tally_conserved — must be true in the new run
   (the bench binary also enforces this; the gate double-checks the
   artifact CI archives).
@@ -137,17 +130,6 @@ def main():
                     help="absolute floor on the cold vs warm-cache ratio of "
                          "servehit cases whose cold wall clears "
                          "--min-wall-ms (0 = disabled)")
-    ap.add_argument("--min-dag-speedup", type=float, default=0.0,
-                    help="absolute floor on the fork-join vs DAG-schedule "
-                         "wall ratio of cases carrying dag_speedup whose "
-                         "fork-join wall clears --min-wall-ms; like "
-                         "--min-speedup it is skipped when the new run's "
-                         "hardware_concurrency is below 2 (one core cannot "
-                         "overlap work).  When enabled it also requires "
-                         "makespan_ratio > 1 on every new case carrying it "
-                         "— the machine-independent dry-run check that the "
-                         "DAG schedule prices strictly below the serialized "
-                         "fork-join schedule (0 = disabled)")
     ap.add_argument("--min-staged-speedup", type=float, default=1.0,
                     help="absolute floor on the staged-resident vs "
                          "interleaved ratio of layout cases whose "
@@ -282,35 +264,6 @@ def main():
                     f": cache-hit speedup {n['cache_hit_speedup']:.2f}x "
                     f"below the absolute floor "
                     f"{args.min_cache_hit_speedup:.2f}x")
-
-    # The DAG-schedule gate is two-sided.  The measured wall ratio
-    # (fork-join wall / DAG wall) is an absolute floor like --min-speedup,
-    # and inherits its hardware_concurrency >= 2 guard — event-driven
-    # execution cannot beat fork-join without a second core to overlap
-    # on.  The dry-run makespan_ratio (serialized modeled schedule / DAG
-    # modeled makespan) is machine-INDEPENDENT, so it is required to
-    # exceed 1 unconditionally whenever the gate is enabled: the graph
-    # must expose real overlap even on hosts where walls cannot show it.
-    if args.min_dag_speedup > 0.0:
-        dag_floor_active = new_doc.get("hardware_concurrency", 0) >= 2
-        if not dag_floor_active:
-            print("note: absolute dag speedup floor skipped "
-                  f"(hardware_concurrency "
-                  f"{new_doc.get('hardware_concurrency', 0)} < 2)")
-        for key in sorted(new):
-            n = new[key]
-            name = "/".join(str(k) for k in key)
-            if (dag_floor_active and "dag_speedup" in n
-                    and n.get("seq_wall_ms", 0.0) >= args.min_wall_ms
-                    and n["dag_speedup"] < args.min_dag_speedup):
-                failures.append(
-                    f"{name}: dag speedup {n['dag_speedup']:.2f}x below "
-                    f"the absolute floor {args.min_dag_speedup:.2f}x")
-            if "makespan_ratio" in n and n["makespan_ratio"] <= 1.0:
-                failures.append(
-                    f"{name}: modeled makespan ratio "
-                    f"{n['makespan_ratio']:.3f} is not above 1 — the DAG "
-                    f"schedule prices no better than fork-join")
 
     for key in sorted(set(new) - set(base)):
         notes.append("/".join(str(k) for k in key) +

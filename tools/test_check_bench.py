@@ -137,52 +137,6 @@ class CheckBenchTest(unittest.TestCase):
             qr_case(kind="servehit", cache_hit_speedup=0.5)])
         self.assertEqual(self.run_gate(new, base), 0)
 
-    def test_dag_floor_gates_measured_ratio(self):
-        base = self.write_doc("base.json", [qr_case()])
-        below = self.write_doc("below.json", [
-            qr_case(),
-            qr_case(kind="dagsolve", speedup=0.0, dag_speedup=1.05,
-                    makespan_ratio=2.0)])
-        self.assertEqual(
-            self.run_gate(below, base, "--min-dag-speedup", "1.15"), 1)
-        above = self.write_doc("above.json", [
-            qr_case(),
-            qr_case(kind="dagsolve", speedup=0.0, dag_speedup=1.4,
-                    makespan_ratio=2.0)])
-        self.assertEqual(
-            self.run_gate(above, base, "--min-dag-speedup", "1.15"), 0)
-
-    def test_dag_measured_floor_skipped_on_one_core(self):
-        # One core cannot overlap work: the measured floor is waived there
-        # (like --min-speedup) ...
-        base = self.write_doc("base.json", [qr_case()], hw=1)
-        new = self.write_doc("new.json", [
-            qr_case(),
-            qr_case(kind="dagsolve", speedup=0.0, dag_speedup=0.9,
-                    makespan_ratio=2.0)], hw=1)
-        self.assertEqual(
-            self.run_gate(new, base, "--min-dag-speedup", "1.15"), 0)
-
-    def test_dag_makespan_ratio_gated_on_any_host(self):
-        # ... but the modeled makespan ratio is machine-independent, so a
-        # schedule that prices no better than fork-join fails even on one
-        # core.
-        base = self.write_doc("base.json", [qr_case()], hw=1)
-        new = self.write_doc("new.json", [
-            qr_case(),
-            qr_case(kind="dagsolve", speedup=0.0, dag_speedup=1.0,
-                    makespan_ratio=1.0)], hw=1)
-        self.assertEqual(
-            self.run_gate(new, base, "--min-dag-speedup", "1.15"), 1)
-
-    def test_dag_floor_off_by_default(self):
-        base = self.write_doc("base.json", [qr_case()])
-        new = self.write_doc("new.json", [
-            qr_case(),
-            qr_case(kind="dagsolve", speedup=0.0, dag_speedup=0.5,
-                    makespan_ratio=0.9)])
-        self.assertEqual(self.run_gate(new, base), 0)
-
     def test_non_bit_identical_fails(self):
         new = self.write_doc("new.json", [qr_case(bit_identical=False)])
         base = self.write_doc("base.json", [qr_case()])

@@ -117,47 +117,6 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(selfs, sorted(selfs, reverse=True))
 
 
-class CriticalPathTest(unittest.TestCase):
-    def sched_trace(self):
-        # Two worker lanes draining a diamond a -> {b, c} -> d: lane 1
-        # runs a [0,100] then b [100,160]; lane 2 runs c [100,180]; d
-        # [180,220] lands back on lane 1.  The makespan-bounding chain is
-        # a -> c -> d (c outlasts b).
-        return [event("a", "sched", 0, 100, tid=1),
-                event("b", "sched", 100, 60, tid=1),
-                event("c", "sched", 100, 80, tid=2),
-                event("d", "sched", 180, 40, tid=1),
-                event("k", "kernel", 0, 500, tid=3)]
-
-    def test_backward_chain_follows_the_long_branch(self):
-        report = trace_summarize.critical_path(self.sched_trace(),
-                                               category="sched")
-        self.assertEqual([l["name"] for l in report["chain"]],
-                         ["a", "c", "d"])
-        self.assertAlmostEqual(report["chain_ms"], 0.220)
-
-    def test_lane_occupancy_and_parallelism(self):
-        report = trace_summarize.critical_path(self.sched_trace(),
-                                               category="sched")
-        self.assertEqual(report["spans"], 4)
-        self.assertEqual(report["lanes"]["1/1"]["spans"], 3)
-        self.assertAlmostEqual(report["lanes"]["1/1"]["busy_ms"], 0.200)
-        self.assertAlmostEqual(report["lanes"]["1/2"]["busy_ms"], 0.080)
-        self.assertAlmostEqual(report["wall_ms"], 0.220)
-        # 280 us busy over a 220 us wall.
-        self.assertAlmostEqual(report["parallelism"], 280.0 / 220.0)
-        self.assertAlmostEqual(report["chain_coverage"], 1.0)
-
-    def test_category_filter_and_empty_category(self):
-        unfiltered = trace_summarize.critical_path(self.sched_trace())
-        self.assertEqual(unfiltered["spans"], 5)
-        empty = trace_summarize.critical_path(self.sched_trace(),
-                                              category="queue")
-        self.assertEqual(empty["spans"], 0)
-        self.assertIsNone(empty["parallelism"])
-        self.assertEqual(empty["chain"], [])
-
-
 class MainTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()

@@ -76,95 +76,6 @@ def self_times_us(events):
     return self_us
 
 
-def critical_path(events, category=None):
-    """Critical-path rollup over the trace's execution lanes.
-
-    Built for DAG-scheduler traces (category "sched"), where every lane
-    is a worker draining ready tasks: reports per-lane busy time, the
-    average parallelism (total busy ms / wall ms), and a greedy backward
-    critical chain — start from the latest-ending span, repeatedly jump
-    to the latest-ending span that finishes no later than the current
-    span starts (any lane).  On a trace produced by an event-driven run
-    the chain approximates the dependency path that bounded the makespan:
-    a worker only sits idle when nothing is ready, so each backward jump
-    lands on work that (transitively) gated the next span.
-    """
-    pool = [ev for ev in events
-            if category is None or ev["cat"] == category]
-    if not pool:
-        return {"category": category, "spans": 0, "lanes": {},
-                "wall_ms": 0.0, "busy_ms": 0.0, "parallelism": None,
-                "chain": [], "chain_ms": 0.0, "chain_coverage": None}
-
-    start = min(ev["ts"] for ev in pool)
-    end = max(ev["ts"] + ev["dur"] for ev in pool)
-    wall_ms = (end - start) / 1e3
-
-    lanes = {}
-    for ev in pool:
-        lane = lanes.setdefault("%s/%s" % (ev["pid"], ev["tid"]),
-                                {"spans": 0, "busy_ms": 0.0})
-        lane["spans"] += 1
-        lane["busy_ms"] += ev["dur"] / 1e3
-    busy_ms = sum(lane["busy_ms"] for lane in lanes.values())
-
-    # Greedy backward chain; ties (equal end) break toward the longer
-    # span so the chain prefers substantive work over instants.
-    by_end = sorted(pool, key=lambda e: (e["ts"] + e["dur"], e["dur"]))
-    chain = []
-    cur = by_end[-1]
-    while cur is not None:
-        chain.append(cur)
-        cutoff = cur["ts"]
-        nxt = None
-        for ev in reversed(by_end):
-            if ev["ts"] + ev["dur"] <= cutoff + 1e-9 and ev is not cur:
-                nxt = ev
-                break
-        cur = nxt
-    chain.reverse()
-    chain_ms = sum(ev["dur"] for ev in chain) / 1e3
-    return {
-        "category": category,
-        "spans": len(pool),
-        "lanes": lanes,
-        "wall_ms": wall_ms,
-        "busy_ms": busy_ms,
-        "parallelism": busy_ms / wall_ms if wall_ms > 0 else None,
-        "chain": [{"name": ev["name"], "ms": ev["dur"] / 1e3,
-                   "lane": "%s/%s" % (ev["pid"], ev["tid"])}
-                  for ev in chain],
-        "chain_ms": chain_ms,
-        "chain_coverage": chain_ms / wall_ms if wall_ms > 0 else None,
-    }
-
-
-def print_critical_path(report, out=sys.stdout, top=12):
-    label = report["category"] or "all categories"
-    print("\ncritical path (%s): %d spans" % (label, report["spans"]),
-          file=out)
-    if not report["spans"]:
-        return
-    print("  wall %.3f ms, busy %.3f ms, avg parallelism %.2fx" %
-          (report["wall_ms"], report["busy_ms"], report["parallelism"]),
-          file=out)
-    for name in sorted(report["lanes"]):
-        lane = report["lanes"][name]
-        print("  lane %-12s %6d spans %12.3f ms busy" %
-              (name, lane["spans"], lane["busy_ms"]), file=out)
-    print("  chain: %d links, %.3f ms (%.0f%% of wall)" %
-          (len(report["chain"]), report["chain_ms"],
-           100.0 * report["chain_coverage"]), file=out)
-    links = report["chain"]
-    shown = links if len(links) <= top else links[-top:]
-    if len(links) > top:
-        print("    ... %d earlier links elided" % (len(links) - top),
-              file=out)
-    for link in shown:
-        print("    %-32s %10.3f ms  [%s]" %
-              (link["name"][:32], link["ms"], link["lane"]), file=out)
-
-
 def summarize(doc, top=12):
     """Aggregates a validated trace document into a plain dict."""
     events = validate(doc)
@@ -242,12 +153,6 @@ def main():
                         metavar="A,B,...",
                         help="fail unless every named category appears "
                              "(the CI artifact validity check)")
-    parser.add_argument("--critical-path", nargs="?", const="",
-                        default=None, metavar="CATEGORY",
-                        help="append the critical-path rollup (per-lane "
-                             "occupancy, avg parallelism, greedy backward "
-                             "chain); optional category filter, e.g. "
-                             "'sched' for DAG-scheduler task spans")
     args = parser.parse_args()
 
     try:
@@ -265,11 +170,6 @@ def main():
         sys.exit(2)
 
     print_summary(summary)
-
-    if args.critical_path is not None:
-        report = critical_path(validate(doc),
-                               category=args.critical_path or None)
-        print_critical_path(report, top=args.top)
 
     required = [c for c in args.require_categories.split(",") if c]
     missing = [c for c in required if c not in summary["categories"]]

@@ -9,16 +9,17 @@
 // instantiated limb counts (core/limb_dispatch.hpp), e.g.
 // {2, 3, 4, 6, 8} — escalating only when an acceptance test fails.
 //
-// Per rung at precision p (DESIGN.md section 4):
+// Per rung at precision p (DESIGN.md section 4; the accept / floor /
+// stagnation decisions are core/ladder.hpp's policy):
 //   1. Factors.  If no QR factors exist yet, the previous rung's factors
 //      stagnated, or the refinement contraction rate
-//      cond_estimate * eps(factor precision) exceeds a threshold, the rung
-//      REFACTORIZES: the device pipeline (blocked QR + Q^H b + tiled back
-//      substitution) runs at precision p and a triangular condition
-//      estimate (blas/condition.hpp) is launched against the fresh R
-//      factor.  Otherwise the rung REFINES: the existing lower-precision
-//      factors are reused and escalation costs refinement iterations, not
-//      a refactorization.
+//      cond_estimate * eps(factor precision) exceeds 1e-2
+//      (must_refactor), the rung REFACTORIZES: the device pipeline
+//      (blocked QR + Q^H b + tiled back substitution) runs at precision p
+//      and a triangular condition estimate (blas/condition.hpp) is
+//      launched against the fresh R factor.  Otherwise the rung REFINES:
+//      the existing lower-precision factors are reused and escalation
+//      costs refinement iterations, not a refactorization.
 //   2. Polish.  Iterative refinement with residuals at the rung precision
 //      p and correction solves on the factors (device-priced launches,
 //      refinement.hpp): eta = ||A^H (b - A x)||_inf / scale is driven down
@@ -26,7 +27,8 @@
 //      (~eps(p)) is reached (escalate; factors still healthy), or eta
 //      stops contracting (factors exhausted; next rung refactorizes).
 //   3. Acceptance.  forward_estimate = cond_estimate * eta <= tol accepts
-//      the rung and ends the ladder.
+//      the rung and ends the ladder.  A non-finite residual or scale (NaN
+//      or Inf in A, b or the iterate) also ends it, unconverged.
 //
 // Every rung runs against its own Device (at the factor precision, which
 // is the precision of the launches it issues), so modeled times and exact
@@ -50,6 +52,7 @@
 #include "blas/condition.hpp"
 #include "blas/gemm.hpp"
 #include "blas/norms.hpp"
+#include "core/ladder.hpp"
 #include "core/least_squares.hpp"
 #include "core/limb_dispatch.hpp"
 #include "core/refinement.hpp"
@@ -75,16 +78,12 @@ struct AdaptiveOptions : ExecOptions {
   int tile = 8;         // tile size of the device pipeline (divides cols)
   int start_limbs = 2;  // first rung of the ladder
   int max_limbs = 0;    // last rung; 0 means the input type's limb count
-  int max_refine_iters = 12;  // refinement budget per rung
-  // Refine instead of refactorizing while cond * eps(factors) stays below
-  // this contraction rate (each sweep then gains >= 2 digits).
-  double refine_rate_threshold = 1e-2;
-  // A rung's backward-error measurement floor is floor_ulps * m * eps(p);
-  // reaching it exhausts the rung without condemning the factors.
-  double floor_ulps = 64.0;
-  // Refinement sweeps per post-start rung assumed by the dry-run pricing.
-  int dry_refine_iters = 2;
 };
+
+// Refinement budget per rung.
+inline constexpr int refine_iter_cap = 12;
+// Refinement sweeps per post-start rung assumed by the dry-run pricing.
+inline constexpr int dry_refine_sweeps = 2;
 
 template <int NH>
 struct AdaptiveLsqResult {
@@ -127,27 +126,20 @@ struct AdaptiveLsqResult {
 
 namespace detail {
 
-// Unit roundoff of an N-limb multiple-double, 2^(2 - 53 N), clamped at
-// the smallest normal double.  The old repeated-halving loop drifted
-// through gradual underflow past ~19 limbs (subnormal at d20, exactly
-// zero at d21), which degenerated every cond * eps acceptance test.  The
-// clamp keeps eps meaningful (and conservative: larger than the true
-// value) from d20 upward; d16 (2^-846) is still exactly representable
-// and unaffected.
-inline double eps_of_limbs(int limbs) noexcept {
-  return std::max(std::ldexp(4.0, -53 * limbs),
-                  std::numeric_limits<double>::min());
-}
-
 // Plain-double norms for the backward-error scale (estimates need no
-// multiple-double arithmetic, and none is tallied).
+// multiple-double arithmetic, and none is tallied).  A NaN entry makes the
+// norm NaN (std::max would skip it), so the ladder sees non-finite input
+// instead of a norm of the finite entries.
+inline double nan_max(double m, double v) noexcept {
+  return (v > m || v != v) ? v : m;
+}
 template <class T>
 double dnorm_inf_mat(const blas::Matrix<T>& a) noexcept {
   double m = 0;
   for (int i = 0; i < a.rows(); ++i) {
     double s = 0;
     for (int j = 0; j < a.cols(); ++j) s += std::fabs(a(i, j).to_double());
-    m = std::max(m, s);
+    m = nan_max(m, s);
   }
   return m;
 }
@@ -157,14 +149,14 @@ double dnorm_one_mat(const blas::Matrix<T>& a) noexcept {
   for (int j = 0; j < a.cols(); ++j) {
     double s = 0;
     for (int i = 0; i < a.rows(); ++i) s += std::fabs(a(i, j).to_double());
-    m = std::max(m, s);
+    m = nan_max(m, s);
   }
   return m;
 }
 template <class T>
 double dnorm_inf_vec(const blas::Vector<T>& v) noexcept {
   double m = 0;
-  for (const T& x : v) m = std::max(m, std::fabs(x.to_double()));
+  for (const T& x : v) m = nan_max(m, std::fabs(x.to_double()));
   return m;
 }
 
@@ -234,72 +226,53 @@ struct AdaptiveState {
 // arithmetic is tallied into rs.host_ops; the launch bodies divert to the
 // device's stage tallies (inner ScopedTally scopes shadow outer ones).
 template <int FL, int P, int NH>
-void polish_rung(device::Device& dev, const blas::Matrix<md::mdreal<P>>& ap,
-                 const blas::Vector<md::mdreal<P>>& bp,
-                 AdaptiveState<NH>& st, const AdaptiveOptions& opt,
-                 util::RungStats& rs) {
+RungExit polish_rung(device::Device& dev,
+                     const blas::Matrix<md::mdreal<P>>& ap,
+                     const blas::Vector<md::mdreal<P>>& bp,
+                     AdaptiveState<NH>& st, const AdaptiveOptions& opt,
+                     util::RungStats& rs) {
   static_assert(FL <= P && P <= NH);
   using TP = md::mdreal<P>;
   using TF = md::mdreal<FL>;
   const int m = ap.rows(), c = ap.cols();
-  const double floor_p =
-      opt.floor_ulps * m * eps_of_limbs(P);
+  blas::Vector<TP> r(m);
 
   md::ScopedTally host_scope(rs.host_ops);
-  double prev = std::numeric_limits<double>::infinity();
-  for (int iter = 0;; ++iter) {
-    // Backward error at rung precision.
-    auto xp = narrow_vector<P, NH>(st.x);
-    auto ax = blas::gemv(ap, std::span<const TP>(xp));
-    blas::Vector<TP> r(m);
-    for (int i = 0; i < m; ++i) r[i] = bp[i] - ax[i];
-    auto g = blas::gemv_adjoint(ap, std::span<const TP>(r));
-    const double gnorm = blas::norm_inf(std::span<const TP>(g)).to_double();
-    double scale = st.anorm_one *
-                   (st.anorm_inf * dnorm_inf_vec(st.x) + st.bnorm_inf);
-    if (scale <= 0.0) scale = 1.0;
-    const double eta = gnorm / scale;
-    rs.backward_error = eta;
-    rs.forward_estimate = st.cond_est * eta;
-
-    if (rs.forward_estimate <= opt.tol || gnorm == 0.0) {
-      rs.accepted = true;
-      break;
-    }
-    if (eta <= floor_p) break;  // measured to the rung's floor; escalate
-    if (eta > prev * 0.5 || iter >= opt.max_refine_iters) {
-      st.factors_stagnated = true;  // these factors are exhausted
-      break;
-    }
-    prev = eta;
-
-    // Correction on the (possibly lower-precision) factors.
-    blas::Vector<TF> rf(m);
-    for (int i = 0; i < m; ++i) rf[i] = r[i].template to_precision<FL>();
-    auto dx = st.template slot<FL>().solve_on(dev, std::span<const TF>(rf),
-                                              opt.tile);
-    for (int j = 0; j < c; ++j)
-      st.x[j] += dx[j].template to_precision<NH>();
-    rs.refine_iterations = iter + 1;
-  }
+  return refine_rung(
+      opt.tol, st.cond_est, rung_floor(m, P), refine_iter_cap, rs,
+      [&] {  // backward error at rung precision
+        auto xp = narrow_vector<P, NH>(st.x);
+        auto ax = blas::gemv(ap, std::span<const TP>(xp));
+        for (int i = 0; i < m; ++i) r[i] = bp[i] - ax[i];
+        auto g = blas::gemv_adjoint(ap, std::span<const TP>(r));
+        return ResidualNorm{
+            blas::norm_inf(std::span<const TP>(g)).to_double(),
+            st.anorm_one * (st.anorm_inf * dnorm_inf_vec(st.x) + st.bnorm_inf)};
+      },
+      [&] {  // correction on the (possibly lower-precision) factors
+        blas::Vector<TF> rf(m);
+        for (int i = 0; i < m; ++i) rf[i] = r[i].template to_precision<FL>();
+        auto dx = st.template slot<FL>().solve_on(dev, std::span<const TF>(rf),
+                                                  opt.tile);
+        for (int j = 0; j < c; ++j)
+          st.x[j] += dx[j].template to_precision<NH>();
+      });
 }
 
 // One rung of the ladder at precision P.
 template <int P, int NH>
-void run_rung(const device::DeviceSpec& spec,
-              const blas::Matrix<md::mdreal<NH>>& a,
-              const blas::Vector<md::mdreal<NH>>& b, AdaptiveState<NH>& st,
-              const AdaptiveOptions& opt, AdaptiveLsqResult<NH>& out) {
+RungExit run_rung(const device::DeviceSpec& spec,
+                  const blas::Matrix<md::mdreal<NH>>& a,
+                  const blas::Vector<md::mdreal<NH>>& b, AdaptiveState<NH>& st,
+                  const AdaptiveOptions& opt, AdaptiveLsqResult<NH>& out) {
   static_assert(P <= NH);
   const int c = a.cols();
 
   util::RungStats rs;
   rs.precision = md::Precision(P);
 
-  const double rate =
-      st.cond_est * eps_of_limbs(st.factor_limbs > 0 ? st.factor_limbs : P);
   const bool refactor = st.factor_limbs == 0 || st.factors_stagnated ||
-                        rate > opt.refine_rate_threshold;
+                        must_refactor(st.cond_est, st.factor_limbs);
 
   // The rung is a parent span over every launch it issues; the name
   // records the refine-vs-refactor decision and the modeled price is the
@@ -310,9 +283,14 @@ void run_rung(const device::DeviceSpec& spec,
   auto ap = narrow_matrix<P, NH>(a);
   auto bp = narrow_vector<P, NH>(b);
 
+  // One device per rung, at the precision of its launches: P when the
+  // rung factorizes, the live factors' precision when it refines.
+  const int dev_limbs = refactor ? P : st.factor_limbs;
+  device::Device dev(spec, md::Precision(dev_limbs),
+                     device::ExecMode::functional);
+  dev.set_parallelism(opt.tile_pool, opt.parallelism);
+  rs.device_precision = md::Precision(dev_limbs);
   if (refactor) {
-    device::Device dev(spec, md::Precision(P), device::ExecMode::functional);
-    dev.set_parallelism(opt.tile_pool, opt.parallelism);
     auto sol = least_squares(dev, ap, bp, opt.tile);
     blas::TriCondEstimate est;
     launch_cond_est(dev, c, opt.tile, 8 * std::int64_t(P),
@@ -322,38 +300,30 @@ void run_rung(const device::DeviceSpec& spec,
       st.x[j] = sol.x[j].template to_precision<NH>();
     st.template set_factors<P>(std::move(sol.factors));
     rs.refactorized = true;
-    rs.device_precision = md::Precision(P);
-    rs.cond_estimate = st.cond_est;
-    polish_rung<P, P, NH>(dev, ap, bp, st, opt, rs);
-    const device::DeviceUsage u = dev.usage();
-    rs.analytic = u.analytic;
-    rs.measured = u.measured;
-    rs.kernel_ms = u.kernel_ms;
-    rs.wall_ms = u.wall_ms;
-  } else {
-    device::Device dev(spec, md::Precision(st.factor_limbs),
-                       device::ExecMode::functional);
-    dev.set_parallelism(opt.tile_pool, opt.parallelism);
-    rs.device_precision = md::Precision(st.factor_limbs);
-    rs.cond_estimate = st.cond_est;
-    with_limbs(st.factor_limbs, [&](auto tag) {
-      constexpr int FL = decltype(tag)::limbs;
-      // The ladder never refines at a precision below its factors, so the
-      // guard only prunes impossible instantiations.
-      if constexpr (FL <= P) polish_rung<FL, P, NH>(dev, ap, bp, st, opt, rs);
-    });
-    const device::DeviceUsage u = dev.usage();
-    rs.analytic = u.analytic;
-    rs.measured = u.measured;
-    rs.kernel_ms = u.kernel_ms;
-    rs.wall_ms = u.wall_ms;
   }
+  rs.cond_estimate = st.cond_est;
 
+  RungExit exit = RungExit::stagnated;
+  with_limbs(st.factor_limbs, [&](auto tag) {
+    constexpr int FL = decltype(tag)::limbs;
+    // The ladder never refines at a precision below its factors, so the
+    // guard only prunes impossible instantiations.
+    if constexpr (FL <= P)
+      exit = polish_rung<FL, P, NH>(dev, ap, bp, st, opt, rs);
+  });
+  if (exit == RungExit::stagnated) st.factors_stagnated = true;
+
+  const device::DeviceUsage u = dev.usage();
+  rs.analytic = u.analytic;
+  rs.measured = u.measured;
+  rs.kernel_ms = u.kernel_ms;
+  rs.wall_ms = u.wall_ms;
   rung_span.set_modeled_ms(rs.kernel_ms);
 
   out.final_precision = rs.precision;
   out.converged = rs.accepted;
   out.rungs.push_back(std::move(rs));
+  return exit;
 }
 
 }  // namespace detail
@@ -400,14 +370,18 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
   st.anorm_inf = detail::dnorm_inf_mat(a);
   st.bnorm_inf = detail::dnorm_inf_vec(b);
 
+  // Climb until a rung accepts; a non-finite measurement stops the climb
+  // (no precision repairs NaN or Inf input).
   for (const int l : ladder) {
-    if (out.converged) break;
+    RungExit exit = RungExit::stagnated;
     with_limbs(l, [&](auto tag) {
       constexpr int P = decltype(tag)::limbs;
       // resolve_rungs already clipped the ladder to [start_limbs, NH];
       // the guard only prunes impossible instantiations.
-      if constexpr (P <= NH) detail::run_rung<P, NH>(spec, a, b, st, aopt, out);
+      if constexpr (P <= NH)
+        exit = detail::run_rung<P, NH>(spec, a, b, st, aopt, out);
     });
+    if (exit == RungExit::accepted || exit == RungExit::nonfinite) break;
   }
 
   out.x = std::move(st.x);
@@ -416,7 +390,7 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
 
 // Dry-run pricing of the adaptive schedule for the sharding policies: a
 // factorization (plus condition estimate) at the starting rung, then
-// opt.dry_refine_iters correction solves per later rung on the starting
+// dry_refine_sweeps correction solves per later rung on the starting
 // rung's factors — the expected path when conditioning permits reuse.
 // Escalation decisions are data-dependent, so this is a model, not a
 // replay (DESIGN.md section 4).
@@ -482,12 +456,12 @@ AdaptiveDryResult adaptive_least_squares_dry(const device::DeviceSpec& spec,
       // later rungs refine on the starting rung's factors
       device::Device dev(spec, md::Precision(TS::limbs),
                          device::ExecMode::dry_run);
-      for (int k = 0; k < opt.dry_refine_iters; ++k)
+      for (int k = 0; k < dry_refine_sweeps; ++k)
         correction_solve_dry<TS>(dev, rows, cols, opt.tile);
       util::RungStats rs;
       rs.precision = md::Precision(l);
       rs.device_precision = md::Precision(TS::limbs);
-      rs.refine_iterations = opt.dry_refine_iters;
+      rs.refine_iterations = dry_refine_sweeps;
       const device::DeviceUsage u = dev.usage();
       rs.analytic = u.analytic;
       rs.kernel_ms = u.kernel_ms;

@@ -26,11 +26,13 @@
 //     first REFINES (residuals at the higher precision on the host,
 //     corrections on the cached lower-precision factors — exactly
 //     polish-style refinement), and only when the factors are exhausted
-//     (stagnation, or cond * eps(factors) beyond the refine threshold)
-//     does the step restart with a factorization at the higher precision.
-//     The reached precision persists to later steps (conditioning along a
-//     path rarely relaxes), so a stiff path pays for d4 once and a benign
-//     path never does.
+//     (stagnation, or cond * eps(factors) beyond 1e-2) does the step
+//     restart with a factorization at the higher precision.  The reached
+//     precision persists to later steps (conditioning along a path rarely
+//     relaxes), so a stiff path pays for d4 once and a benign path never
+//     does.  Every rung's accept / floor / stagnation decision is the
+//     adaptive driver's policy (core/ladder.hpp); a non-finite residual or
+//     scale fails the step outright.
 //
 //   step-size control — a corrector that stagnates ABOVE the precision
 //     floor means the step outran the frozen-Jacobian contraction (or the
@@ -49,7 +51,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -60,6 +61,7 @@
 #include "blas/gemm.hpp"
 #include "core/adaptive_lsq.hpp"
 #include "core/block_toeplitz.hpp"
+#include "core/ladder.hpp"
 #include "core/solve_options.hpp"
 #include "device/device_spec.hpp"
 #include "device/launch.hpp"
@@ -95,30 +97,18 @@ struct TrackOptions : core::ExecOptions {
   double step_factor = 0.25;  // h = step_factor * pole_radius
   double max_step = 0.25;
   double min_step = 1e-8;
-  int max_corrector_iters = 40;
   int max_halvings = 8;
   int max_steps = 256;
-  // A rung's backward-error measurement floor is floor_ulps * m * eps(p).
-  double floor_ulps = 64.0;
-  // Escalate by refinement while cond * eps(factors) stays below this.
-  double refine_rate_threshold = 1e-2;
   PredictorKind predictor = PredictorKind::series;
   int pade_denominator = 1;  // denominator degree of the Padé predictor
-  // Reuse the previous accepted step's resident factorization (and its
-  // Taylor series) while the next step still fits inside the cached
-  // pole-radius trust region about the factorization point: the step
-  // then skips the recenter / factor / condition-estimate / series
-  // launches entirely and predicts from the CACHED series evaluated at
-  // the accumulated offset.  A corrector that stagnates on stale factors
-  // falls back to a fresh factorization transparently (the step is
-  // retried, not failed).  Off by default: reuse changes the launch
-  // schedule and — through the frozen factors — the corrected iterates,
-  // so the historical step-for-step replay stays the default.
-  bool reuse_factors = false;
-  // Expected-schedule parameters of the dry-run pricing.
+  // Steps of the expected schedule priced by the dry run.
   int dry_steps = 8;
-  int dry_corrector_iters = 2;
 };
+
+// Corrector budget per rung.
+inline constexpr int corrector_iter_cap = 40;
+// Correction rounds per step assumed by the dry-run pricing.
+inline constexpr int dry_corrector_rounds = 2;
 
 // One accepted (or abandoned) step of the tracker.
 struct StepStats {
@@ -274,28 +264,7 @@ void launch_residual(device::Device& dev, int m, int tile, Body&& body) {
 enum class StepVerdict {
   accepted,        // step committed
   restart_higher,  // redo the whole step, factoring at restart_limbs
-  retry_fresh,     // cached factors went stale: redo with a fresh factor
-  failed,          // step size collapsed or the ladder is exhausted
-};
-
-// Cross-step residency (TrackOptions::reuse_factors): the accepted step's
-// Toeplitz solver — whose staged factor copies stay device-resident — and
-// its Taylor series, type-erased so the cache survives the ladder's
-// precision dispatch.  `limbs` keys the stored precision (0 = empty); a
-// step only reuses a cache whose precision matches its first rung.
-struct FactorCache {
-  int limbs = 0;
-  double t_base = 0.0;       // parameter the factors were centered at
-  double pole_radius = 0.0;  // trust-region radius estimated at t_base
-  double cond = 0.0;         // condition estimate of the cached factors
-  std::shared_ptr<void> solver;  // BlockToeplitzSolver<mdreal<limbs>>
-  std::shared_ptr<void> series;  // vector<Vector<mdreal<limbs>>> at t_base
-
-  void clear() {
-    limbs = 0;
-    solver.reset();
-    series.reset();
-  }
+  failed,          // step size collapsed, ladder exhausted, or non-finite
 };
 
 struct StepOutcome {
@@ -305,28 +274,23 @@ struct StepOutcome {
   double h = 0.0;          // accepted step size
 };
 
-// Why the corrector loop exits (checked in this order; the floor check
-// precedes the stagnation check so rounding-floor noise escalates the
-// precision instead of condemning the step size).
-enum class CorrectorExit { accepted, floor, stagnated };
-
 // The refinement escalation rung: residuals at precision P on the host
 // (tallied as host work, DESIGN.md §4), corrections on the cached
 // precision-FL factors of the step's Toeplitz solver — priced launches on
 // a Device running at FL.
 template <int FL, int P, int NH>
-CorrectorExit polish_rung(const device::DeviceSpec& spec,
-                          const Homotopy<md::mdreal<NH>>& h,
-                          const core::BlockToeplitzSolver<md::mdreal<FL>>& slv,
-                          double t1, double cond,
-                          blas::Vector<md::mdreal<NH>>& xw,
-                          const TrackOptions& opt, StepStats& st,
-                          util::RungStats& rs) {
+core::RungExit polish_rung(const device::DeviceSpec& spec,
+                           const Homotopy<md::mdreal<NH>>& h,
+                           const core::BlockToeplitzSolver<md::mdreal<FL>>& slv,
+                           double t1, double cond,
+                           blas::Vector<md::mdreal<NH>>& xw,
+                           const TrackOptions& opt, StepStats& st,
+                           util::RungStats& rs) {
   static_assert(FL <= P && P <= NH);
   using TP = md::mdreal<P>;
   using TF = md::mdreal<FL>;
   const int m = h.dim();
-  const double floor_p = opt.floor_ulps * m * core::detail::eps_of_limbs(P);
+  const auto um = static_cast<std::size_t>(m);
 
   device::Device dev(spec, md::Precision(FL), device::ExecMode::functional);
   dev.set_parallelism(opt.tile_pool, opt.parallelism);
@@ -338,7 +302,7 @@ CorrectorExit polish_rung(const device::DeviceSpec& spec,
   // like the adaptive driver's rungs).
   obs::Span rung_span("rung refine", obs::Cat::ladder, P);
 
-  CorrectorExit exit = CorrectorExit::stagnated;
+  core::RungExit exit = core::RungExit::stagnated;
   {
     md::ScopedTally host_scope(rs.host_ops);
     const auto hp = narrow_homotopy<P, NH>(h);
@@ -346,48 +310,27 @@ CorrectorExit polish_rung(const device::DeviceSpec& spec,
     const auto b1 = hp.b_at(t1);
     const double anorm = core::detail::dnorm_inf_mat(a1);
     const double bnorm = core::detail::dnorm_inf_vec(b1);
+    blas::Vector<TP> r(um);
 
-    double prev = std::numeric_limits<double>::infinity();
-    for (int iter = 0;; ++iter) {
-      auto xp = core::detail::narrow_vector<P, NH>(xw);
-      auto ax = blas::gemv(a1, std::span<const TP>(xp));
-      blas::Vector<TP> r(static_cast<std::size_t>(m));
-      for (int i = 0; i < m; ++i) r[static_cast<std::size_t>(i)] =
-          b1[static_cast<std::size_t>(i)] - ax[static_cast<std::size_t>(i)];
-      const double rnorm =
-          core::detail::dnorm_inf_vec(r);
-      double scale = anorm * core::detail::dnorm_inf_vec(xw) + bnorm;
-      if (scale <= 0.0) scale = 1.0;
-      const double eta = rnorm / scale;
-      rs.backward_error = eta;
-      rs.forward_estimate = cond * eta;
-
-      if (rs.forward_estimate <= opt.tol || rnorm == 0.0) {
-        rs.accepted = true;
-        exit = CorrectorExit::accepted;
-        break;
-      }
-      if (eta <= floor_p) {
-        exit = CorrectorExit::floor;
-        break;
-      }
-      if (eta > prev * 0.5 || iter >= opt.max_corrector_iters) {
-        exit = CorrectorExit::stagnated;
-        break;
-      }
-      prev = eta;
-
-      blas::Vector<TF> rf(static_cast<std::size_t>(m));
-      for (int i = 0; i < m; ++i)
-        rf[static_cast<std::size_t>(i)] =
-            r[static_cast<std::size_t>(i)].template to_precision<FL>();
-      auto dx = slv.solve_diag_on(dev, std::span<const TF>(rf), opt.tile);
-      for (int j = 0; j < m; ++j)
-        xw[static_cast<std::size_t>(j)] +=
-            dx[static_cast<std::size_t>(j)].template to_precision<NH>();
-      rs.refine_iterations = iter + 1;
-      st.correction_solves += 1;
-    }
+    exit = core::refine_rung(
+        opt.tol, cond, core::rung_floor(m, P), corrector_iter_cap, rs,
+        [&] {
+          auto xp = core::detail::narrow_vector<P, NH>(xw);
+          auto ax = blas::gemv(a1, std::span<const TP>(xp));
+          for (std::size_t i = 0; i < um; ++i) r[i] = b1[i] - ax[i];
+          return core::ResidualNorm{
+              core::detail::dnorm_inf_vec(r),
+              anorm * core::detail::dnorm_inf_vec(xw) + bnorm};
+        },
+        [&] {
+          blas::Vector<TF> rf(um);
+          for (std::size_t i = 0; i < um; ++i)
+            rf[i] = r[i].template to_precision<FL>();
+          auto dx = slv.solve_diag_on(dev, std::span<const TF>(rf), opt.tile);
+          for (std::size_t j = 0; j < um; ++j)
+            xw[j] += dx[j].template to_precision<NH>();
+          st.correction_solves += 1;
+        });
   }
   const device::DeviceUsage u = dev.usage();
   rs.analytic = u.analytic;
@@ -402,22 +345,21 @@ CorrectorExit polish_rung(const device::DeviceSpec& spec,
 // of the resolved sequence while the cached FL factors can still
 // contract; a stagnating refinement restarts the step at the offending
 // precision with a fresh factorization.  The contraction-rate gate
-// cond * eps(FL) depends only on the factor precision, so it is invariant
-// across rungs and checked once: when the factors cannot contract, the
-// step restarts at the first rung above them.  Running out of rungs
-// exhausts the ladder (failed).
+// must_refactor(cond, FL) depends only on the factor precision, so it is
+// invariant across rungs: when the factors cannot contract, the step
+// restarts at the first rung above them.  Running out of rungs exhausts
+// the ladder, and a non-finite measurement fails the step (failed).
 template <int FL, int NH>
 StepOutcome escalate_ladder(
     const device::DeviceSpec& spec, const Homotopy<md::mdreal<NH>>& h,
     const core::BlockToeplitzSolver<md::mdreal<FL>>& slv, double t1,
     double cond, double h_step, int maxl, const std::vector<int>& rungs,
     blas::Vector<md::mdreal<NH>>& xw, const TrackOptions& opt, StepStats& st) {
-  const double rate = cond * core::detail::eps_of_limbs(FL);
   for (const int p : rungs) {
     if (p <= FL || p > maxl) continue;
-    if (rate > opt.refine_rate_threshold)
+    if (core::must_refactor(cond, FL))
       return {StepVerdict::restart_higher, p, 0, 0.0};
-    CorrectorExit exit = CorrectorExit::stagnated;
+    core::RungExit exit = core::RungExit::stagnated;
     util::RungStats rs;
     core::with_limbs(p, [&](auto tag) {
       constexpr int P = decltype(tag)::limbs;
@@ -427,11 +369,16 @@ StepOutcome escalate_ladder(
         exit = polish_rung<FL, P, NH>(spec, h, slv, t1, cond, xw, opt, st, rs);
     });
     st.rungs.push_back(std::move(rs));
-    if (exit == CorrectorExit::accepted)
-      return {StepVerdict::accepted, 0, p, h_step};
-    if (exit == CorrectorExit::stagnated)
-      return {StepVerdict::restart_higher, p, 0, 0.0};
-    // floor: measured to this rung's floor with healthy factors — climb on
+    switch (exit) {
+      case core::RungExit::accepted:
+        return {StepVerdict::accepted, 0, p, h_step};
+      case core::RungExit::stagnated:
+        return {StepVerdict::restart_higher, p, 0, 0.0};
+      case core::RungExit::nonfinite:
+        return {StepVerdict::failed, 0, 0, 0.0};
+      case core::RungExit::floor:
+        break;  // measured to this rung's floor with healthy factors: climb
+    }
   }
   return {StepVerdict::failed, 0, 0, 0.0};
 }
@@ -443,86 +390,52 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
                         const Homotopy<md::mdreal<NH>>& h, double t0,
                         int maxl, const std::vector<int>& rungs,
                         blas::Vector<md::mdreal<NH>>& x_out,
-                        const TrackOptions& opt, StepStats& st,
-                        FactorCache* cache = nullptr) {
+                        const TrackOptions& opt, StepStats& st) {
   static_assert(L <= NH);
   using TL = md::mdreal<L>;
   const int m = h.dim();
+  const auto um = static_cast<std::size_t>(m);
   const int orders = opt.order + 1;
   const int aterms = h.a_terms(), bterms = h.b_terms();
-  const double floor_l = opt.floor_ulps * m * core::detail::eps_of_limbs(L);
 
   util::RungStats rs;
   rs.precision = rs.device_precision = md::Precision(L);
+  rs.refactorized = true;
 
   device::Device dev(spec, md::Precision(L), device::ExecMode::functional);
   dev.set_parallelism(opt.tile_pool, opt.parallelism);
 
   const auto hl = narrow_homotopy<L, NH>(h);
 
-  // Factor reuse (TrackOptions::reuse_factors): when the cached
-  // factorization matches this rung's precision and t0 still sits inside
-  // its trust region with at least a minimum step of budget left, the
-  // recenter / factor / condition-estimate / series launches are skipped
-  // and the CACHED series predicts from the accumulated offset dt.
-  std::shared_ptr<core::BlockToeplitzSolver<TL>> solver;
-  std::shared_ptr<std::vector<blas::Vector<TL>>> series;
-  double dt = 0.0;
-  bool reused = false;
-  if (cache != nullptr && cache->limbs == L && cache->solver &&
-      cache->series && t0 >= cache->t_base) {
-    const double budget =
-        opt.step_factor * cache->pole_radius - (t0 - cache->t_base);
-    if (budget >= opt.min_step) {
-      solver = std::static_pointer_cast<core::BlockToeplitzSolver<TL>>(
-          cache->solver);
-      series = std::static_pointer_cast<std::vector<blas::Vector<TL>>>(
-          cache->series);
-      dt = t0 - cache->t_base;
-      reused = true;
-      rs.cond_estimate = cache->cond;
-      st.pole_radius = cache->pole_radius;
-    }
-  }
-  rs.refactorized = !reused;
+  // Recenter: Jacobian Taylor blocks + rhs series at t0.
+  std::vector<blas::Matrix<TL>> blocks;
+  std::vector<blas::Vector<TL>> bser;
+  launch_recenter<TL>(dev, m, aterms, bterms, orders, opt.tile, [&] {
+    blocks = hl.taylor_blocks(t0);
+    bser = hl.rhs_series(t0, orders);
+  });
 
-  double hs;
-  if (!reused) {
-    // Recenter: Jacobian Taylor blocks + rhs series at t0.
-    std::vector<blas::Matrix<TL>> blocks;
-    std::vector<blas::Vector<TL>> bser;
-    launch_recenter<TL>(dev, m, aterms, bterms, orders, opt.tile, [&] {
-      blocks = hl.taylor_blocks(t0);
-      bser = hl.rhs_series(t0, orders);
-    });
+  // Factor the Jacobian through the blocked pipeline; estimate kappa.
+  const core::BlockToeplitzSolver<TL> solver(dev, std::move(blocks), opt.tile);
+  blas::TriCondEstimate est;
+  core::detail::launch_cond_est(dev, m, opt.tile, 8 * std::int64_t(L), [&] {
+    est = blas::tri_condition_inf(solver.factors().r, m);
+  });
+  const double cond = est.cond;
+  rs.cond_estimate = cond;
 
-    // Factor the Jacobian through the blocked pipeline; estimate kappa.
-    solver = std::make_shared<core::BlockToeplitzSolver<TL>>(
-        dev, std::move(blocks), opt.tile);
-    blas::TriCondEstimate est;
-    core::detail::launch_cond_est(dev, m, opt.tile, 8 * std::int64_t(L), [&] {
-      est = blas::tri_condition_inf(solver->factors().r, m);
-    });
-    rs.cond_estimate = est.cond;
+  // The Taylor series of the path at t0 (predictor coefficients).
+  const auto xs = solver.solve_on(dev, bser, opt.tile);
 
-    // The Taylor series of the path at t0 (predictor coefficients).
-    series = std::make_shared<std::vector<blas::Vector<TL>>>(
-        solver->solve_on(dev, bser, opt.tile));
-
-    // Step-size choice from the pole-radius estimate.
-    st.pole_radius = pole_radius_estimate(*series);
-    hs = std::min(opt.step_factor * st.pole_radius, opt.max_step);
-  } else {
-    // The cached trust region shrinks by the distance already traveled.
-    hs = std::min(opt.step_factor * cache->pole_radius - dt, opt.max_step);
-  }
-  const auto& xs = *series;
+  // Step-size choice from the pole-radius estimate.
+  st.pole_radius = pole_radius_estimate(xs);
+  double hs = std::min(opt.step_factor * st.pole_radius, opt.max_step);
   hs = std::max(hs, opt.min_step);
   hs = std::min(hs, opt.t_end - t0);
 
   // Corrector target state, carried at the full precision NH.
   blas::Vector<md::mdreal<NH>> xw;
-  CorrectorExit exit = CorrectorExit::stagnated;
+  core::RungExit exit = core::RungExit::stagnated;
   double t1 = t0;
 
   for (;;) {
@@ -534,14 +447,12 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
       // Predict x(t1) from the series (launched) or its Padé approximant
       // (host arithmetic, tallied like the ladder's acceptance work).
       obs::Span predict_span("predictor", obs::Cat::step, L);
-      // The series is centered at the FACTORIZATION point: t_base under
-      // reuse (dt > 0), t0 on a fresh step (dt == 0).
       if (opt.predictor == PredictorKind::series) {
         launch_predict<TL>(dev, m, orders, opt.tile,
-                           [&] { xp = horner_eval(xs, dt + hs); });
+                           [&] { xp = horner_eval(xs, hs); });
       } else {
         md::ScopedTally host_scope(rs.host_ops);
-        xp = pade_eval(xs, opt.pade_denominator, dt + hs);
+        xp = pade_eval(xs, opt.pade_denominator, hs);
       }
       // A(t1), b(t1) for the corrector.
       launch_eval_ab<TL>(dev, m, aterms, bterms, opt.tile, [&] {
@@ -554,61 +465,43 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
     const double anorm = core::detail::dnorm_inf_mat(a1);
     const double bnorm = core::detail::dnorm_inf_vec(b1);
 
-    xw.assign(static_cast<std::size_t>(m), md::mdreal<NH>{});
-    for (int j = 0; j < m; ++j)
-      xw[static_cast<std::size_t>(j)] =
-          xp[static_cast<std::size_t>(j)].template to_precision<NH>();
+    xw.assign(um, md::mdreal<NH>{});
+    for (std::size_t j = 0; j < um; ++j)
+      xw[j] = xp[j].template to_precision<NH>();
 
-    // Newton corrector on the cached t0 factors.
+    // Newton corrector on the t0 factors.
     obs::Span correct_span("corrector", obs::Cat::step, L);
-    double prev = std::numeric_limits<double>::infinity();
-    for (int iter = 0;; ++iter) {
-      auto xq = core::detail::narrow_vector<L, NH>(xw);
-      blas::Vector<TL> r(static_cast<std::size_t>(m));
-      launch_residual<TL>(dev, m, opt.tile, [&](int task) {
-        const auto blk = blas::block_range(m, dev.parallelism(), task);
-        for (int i = blk.begin; i < blk.end; ++i) {
-          TL s{};
-          for (int c = 0; c < m; ++c) s += a1(i, c) * xq[static_cast<std::size_t>(c)];
-          r[static_cast<std::size_t>(i)] = b1[static_cast<std::size_t>(i)] - s;
-        }
-      });
-      st.residual_evals += 1;
+    blas::Vector<TL> r(um);
+    exit = core::refine_rung(
+        opt.tol, cond, core::rung_floor(m, L), corrector_iter_cap, rs,
+        [&] {
+          auto xq = core::detail::narrow_vector<L, NH>(xw);
+          launch_residual<TL>(dev, m, opt.tile, [&](int task) {
+            const auto blk = blas::block_range(m, dev.parallelism(), task);
+            for (int i = blk.begin; i < blk.end; ++i) {
+              TL s{};
+              for (int c = 0; c < m; ++c)
+                s += a1(i, c) * xq[static_cast<std::size_t>(c)];
+              r[static_cast<std::size_t>(i)] =
+                  b1[static_cast<std::size_t>(i)] - s;
+            }
+          });
+          st.residual_evals += 1;
+          return core::ResidualNorm{
+              core::detail::dnorm_inf_vec(r),
+              anorm * core::detail::dnorm_inf_vec(xw) + bnorm};
+        },
+        [&] {
+          auto dx = solver.solve_diag_on(dev, std::span<const TL>(r), opt.tile);
+          {
+            md::ScopedTally host_scope(rs.host_ops);
+            for (std::size_t j = 0; j < um; ++j)
+              xw[j] += dx[j].template to_precision<NH>();
+          }
+          st.correction_solves += 1;
+        });
 
-      const double rnorm = core::detail::dnorm_inf_vec(r);
-      double scale = anorm * core::detail::dnorm_inf_vec(xw) + bnorm;
-      if (scale <= 0.0) scale = 1.0;
-      const double eta = rnorm / scale;
-      rs.backward_error = eta;
-      rs.forward_estimate = rs.cond_estimate * eta;
-
-      if (rs.forward_estimate <= opt.tol || rnorm == 0.0) {
-        rs.accepted = true;
-        exit = CorrectorExit::accepted;
-        break;
-      }
-      if (eta <= floor_l) {
-        exit = CorrectorExit::floor;
-        break;
-      }
-      if (eta > prev * 0.5 || iter >= opt.max_corrector_iters) {
-        exit = CorrectorExit::stagnated;
-        break;
-      }
-      prev = eta;
-
-      auto dx = solver->solve_diag_on(dev, std::span<const TL>(r), opt.tile);
-      {
-        md::ScopedTally host_scope(rs.host_ops);
-        for (int j = 0; j < m; ++j)
-          xw[static_cast<std::size_t>(j)] +=
-              dx[static_cast<std::size_t>(j)].template to_precision<NH>();
-      }
-      rs.refine_iterations = iter + 1;
-      st.correction_solves += 1;
-    }
-
-    if (exit != CorrectorExit::stagnated) break;
+    if (exit != core::RungExit::stagnated) break;
     // The step outran the frozen-Jacobian contraction: halve and retry.
     if (st.halvings >= opt.max_halvings || hs * 0.5 < opt.min_step) break;
     if (obs::current_session() != nullptr) {
@@ -624,42 +517,22 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
   rs.measured = u.measured;
   rs.kernel_ms = u.kernel_ms;
   rs.wall_ms = u.wall_ms;
-  const double cond = rs.cond_estimate;
   st.rungs.push_back(std::move(rs));
 
-  // An accepted FRESH step publishes its residency for the next step to
-  // reuse; an accepted reused step keeps the cache unchanged (same
-  // factors, same trust region).
-  const auto publish = [&] {
-    if (cache == nullptr || reused) return;
-    cache->limbs = L;
-    cache->t_base = t0;
-    cache->pole_radius = st.pole_radius;
-    cache->cond = cond;
-    cache->solver = solver;
-    cache->series = series;
-  };
-
   switch (exit) {
-    case CorrectorExit::accepted:
+    case core::RungExit::accepted:
       x_out = std::move(xw);
-      publish();
       return {StepVerdict::accepted, 0, L, hs};
-    case CorrectorExit::floor: {
+    case core::RungExit::floor: {
       // Precision-limited: climb the ladder on the cached factors.
-      StepOutcome out = escalate_ladder<L, NH>(spec, h, *solver, t1, cond, hs,
+      StepOutcome out = escalate_ladder<L, NH>(spec, h, solver, t1, cond, hs,
                                                maxl, rungs, xw, opt, st);
-      if (out.verdict == StepVerdict::accepted) {
-        x_out = std::move(xw);
-        publish();
-      }
+      if (out.verdict == StepVerdict::accepted) x_out = std::move(xw);
       return out;
     }
-    case CorrectorExit::stagnated:
-      // Stale cached factors are a recoverable condition, not a step
-      // failure: signal the driver to refactorize at t0 and retry.
-      if (reused) return {StepVerdict::retry_fresh, 0, 0, 0.0};
-      return {StepVerdict::failed, 0, 0, 0.0};
+    case core::RungExit::stagnated:
+    case core::RungExit::nonfinite:
+      break;
   }
   return {StepVerdict::failed, 0, 0, 0.0};
 }
@@ -705,10 +578,6 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
   double t = topt.t_start;
   int cur = rungs.front();  // first rung >= start_limbs of the sequence
   bool ok = true;
-  // Cross-step factor residency (reuse_factors); null disables reuse so
-  // run_step_at walks the historical per-step schedule untouched.
-  detail::FactorCache cache;
-  detail::FactorCache* cache_ptr = topt.reuse_factors ? &cache : nullptr;
 
   while (ok && t < topt.t_end - 1e-14 &&
          static_cast<int>(out.steps.size()) < topt.max_steps) {
@@ -723,18 +592,13 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
         constexpr int L = decltype(tag)::limbs;
         if constexpr (L <= NH) {
           outcome = detail::run_step_at<L, NH>(spec, h, t, maxl, rungs, out.x,
-                                               topt, st, cache_ptr);
+                                               topt, st);
         }
       });
       if (outcome.verdict == detail::StepVerdict::restart_higher &&
           outcome.restart_limbs <= maxl && outcome.restart_limbs > cur) {
         cur = outcome.restart_limbs;
-        cache.clear();  // the cache's precision is below the restart rung
         continue;  // redo the step, factoring at the escalated precision
-      }
-      if (outcome.verdict == detail::StepVerdict::retry_fresh) {
-        cache.clear();  // stale residency: refactorize at this t
-        continue;
       }
       break;
     }
@@ -792,7 +656,7 @@ void track_step_dry(device::Device& dev, int m, int aterms, int bterms,
 
 // Expected-schedule price of a whole path for the sharding policies:
 // dry_steps steps at the starting precision, each with one predictor
-// evaluation and dry_corrector_iters correction rounds.  Escalations and
+// evaluation and dry_corrector_rounds correction rounds.  Escalations and
 // halvings are data-dependent, so this is a model, not a replay — the
 // same contract as adaptive_least_squares_dry (DESIGN.md §4).
 struct TrackDryResult {
@@ -815,7 +679,7 @@ inline TrackDryResult track_dry(const device::DeviceSpec& spec, int m,
                        device::ExecMode::dry_run);
     for (int s = 0; s < opt.dry_steps; ++s)
       track_step_dry<TL>(dev, m, aterms, bterms, opt.order, opt.tile, 1,
-                         opt.dry_corrector_iters + 1, opt.dry_corrector_iters,
+                         dry_corrector_rounds + 1, dry_corrector_rounds,
                          opt.predictor);
     out.precision = md::Precision(TL::limbs);
     out.steps = opt.dry_steps;

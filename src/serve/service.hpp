@@ -421,7 +421,7 @@ class SolverService {
           report_.absorb(resp.row);
           for (const auto& r : resp.rungs) report_.absorb_rung(r);
           if (std::holds_alternative<TrackJob<NH>>(job.req.job))
-            report_.paths.push_back(util::BatchPathRow{
+            report_.absorb_path(util::BatchPathRow{
                 static_cast<int>(resp.id), slot, resp.steps,
                 resp.correction_solves, resp.final_precision, resp.converged,
                 resp.analytic, resp.kernel_ms});

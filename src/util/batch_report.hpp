@@ -9,6 +9,7 @@
 // service layers can log them without instantiating the solver templates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -114,7 +115,9 @@ struct BatchReport {
   // accumulates into the matching pool-slot row (created on first use),
   // the batch totals, and the modeled makespan (devices run concurrently,
   // so the aggregate finishes with its slowest slot).  The serve layer
-  // streams rows through here as jobs complete.  Validation throws
+  // streams rows through here as jobs complete; each problem id is
+  // inserted at its sorted position, so the slot's list stays ascending
+  // whatever the completion order.  Validation throws
   // std::invalid_argument and survives NDEBUG — a negative slot index or
   // negative times would corrupt the aggregate silently in release
   // builds, where every service runs.
@@ -130,8 +133,9 @@ struct BatchReport {
     auto& row = rows[static_cast<std::size_t>(r.device)];
     row.device = r.device;
     if (row.name.empty()) row.name = r.name;
-    row.problems.insert(row.problems.end(), r.problems.begin(),
-                        r.problems.end());
+    for (const int id : r.problems)
+      row.problems.insert(
+          std::lower_bound(row.problems.begin(), row.problems.end(), id), id);
     row.tally += r.tally;
     row.dp_gflop += r.dp_gflop;
     row.kernel_ms += r.kernel_ms;
@@ -140,6 +144,16 @@ struct BatchReport {
     dp_gflop_total += r.dp_gflop;
     kernel_ms += r.kernel_ms;
     if (row.wall_ms > makespan_ms) makespan_ms = row.wall_ms;
+  }
+
+  // Inserts one streamed path row at its position by path id, so the
+  // rows stay ordered whatever the completion order.
+  void absorb_path(const BatchPathRow& r) {
+    paths.insert(std::lower_bound(paths.begin(), paths.end(), r.path,
+                                  [](const BatchPathRow& p, int id) {
+                                    return p.path < id;
+                                  }),
+                 r);
   }
 
   // Folds one adaptive-ladder rung into the per-rung escalation rows

@@ -1,20 +1,27 @@
 // The adaptive precision ladder: the triangular condition estimator and
-// its exact operation tally, rung-by-rung escalation behavior on the
-// Hilbert-like family (refine vs refactorize), the acceptance pin of
-// ISSUE 2 — a 1e-25 tolerance met from a d2 start at modeled cost
-// strictly below an always-d8 direct solve, priced with dry-run tallies —
-// dry-run ladder pricing, the conformance sweep, and the batched adaptive
-// pipeline (bit-identical to sequential adaptive solves, tally
-// conservation with mixed per-problem rungs, per-rung report rows).
+// its exact operation tally, the shared ladder policy (core/ladder.hpp)
+// driven by scripted residual sequences, rung-by-rung escalation behavior
+// on the Hilbert-like family (refine vs refactorize), the acceptance pin
+// — a 1e-25 tolerance met from a d2 start at modeled cost strictly below
+// an always-d8 direct solve, priced with dry-run tallies —
+// non-finite input that must never come back converged, dry-run ladder
+// pricing, the conformance sweep, and the batched adaptive pipeline
+// (bit-identical to sequential adaptive solves, tally conservation with
+// mixed per-problem rungs, per-rung report rows).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "blas/condition.hpp"
 #include "blas/generate.hpp"
 #include "blas/norms.hpp"
 #include "core/adaptive_lsq.hpp"
 #include "core/batched_lsq.hpp"
+#include "core/ladder.hpp"
 #include "support/conformance.hpp"
 #include "support/test_support.hpp"
 
@@ -146,6 +153,126 @@ TEST_F(TriConditionTally, CountIsDataIndependentEvenOnZeroPivots) {
   EXPECT_TRUE(std::isinf(est.cond));
 }
 
+// --- the ladder policy -------------------------------------------------------
+
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Drives core::refine_rung with a scripted sequence of (norm, scale)
+// measurements; every correct() call advances the script by one entry.
+struct ScriptedRung {
+  explicit ScriptedRung(std::vector<core::ResidualNorm> s)
+      : script(std::move(s)) {}
+
+  std::vector<core::ResidualNorm> script;
+  double tol = 1e-20, cond = 1.0, floor = 0.0;
+  int max_iters = 12;
+  int corrections = 0;
+  util::RungStats rs;
+
+  core::RungExit run() {
+    return core::refine_rung(
+        tol, cond, floor, max_iters, rs,
+        [&] { return script.at(static_cast<std::size_t>(corrections)); },
+        [&] { ++corrections; });
+  }
+};
+
+}  // namespace
+
+TEST(LadderPolicy, AcceptWinsOverFloorAndFloorOverStagnation) {
+  // One measurement below both the tolerance and the floor: accepted.
+  ScriptedRung both({{1e-30, 1.0}});
+  both.floor = 1e-20;
+  EXPECT_EQ(both.run(), core::RungExit::accepted);
+  EXPECT_TRUE(both.rs.accepted);
+
+  // Below the floor but not the tolerance: floor, no correction.
+  ScriptedRung floor({{1e-30, 1.0}});
+  floor.cond = 1e20;
+  floor.floor = 1e-20;
+  EXPECT_EQ(floor.run(), core::RungExit::floor);
+  EXPECT_FALSE(floor.rs.accepted);
+  EXPECT_EQ(floor.corrections, 0);
+
+  // eta stopped halving (1.5e-21 > 2e-21 / 2) but sits below the floor:
+  // floor wins.
+  ScriptedRung slow({{2e-21, 1.0}, {1.5e-21, 1.0}});
+  slow.cond = 1e20;
+  slow.floor = 1.6e-21;
+  slow.tol = 1e-3;
+  EXPECT_EQ(slow.run(), core::RungExit::floor);
+  EXPECT_EQ(slow.corrections, 1);
+}
+
+TEST(LadderPolicy, SlowContractionAndTheIterationCapStagnate) {
+  // eta > prev / 2 stagnates.
+  ScriptedRung slow({{1.0, 1.0}, {0.6, 1.0}});
+  EXPECT_EQ(slow.run(), core::RungExit::stagnated);
+  EXPECT_EQ(slow.corrections, 1);
+  EXPECT_EQ(slow.rs.refine_iterations, 1);
+  EXPECT_DOUBLE_EQ(slow.rs.backward_error, 0.6);
+
+  // Exactly halving never stagnates on rate; the cap ends it after
+  // max_iters corrections.
+  ScriptedRung capped({{1.0, 1.0}, {0.5, 1.0}, {0.25, 1.0}, {0.125, 1.0}});
+  capped.max_iters = 3;
+  EXPECT_EQ(capped.run(), core::RungExit::stagnated);
+  EXPECT_EQ(capped.corrections, 3);
+  EXPECT_EQ(capped.rs.refine_iterations, 3);
+}
+
+TEST(LadderPolicy, ZeroResidualAcceptsEvenAtInfiniteCondition) {
+  ScriptedRung zero({{0.0, 2.0}});
+  zero.cond = kInf;  // cond * eta = inf * 0 = NaN fails the tol test
+  EXPECT_EQ(zero.run(), core::RungExit::accepted);
+  EXPECT_TRUE(zero.rs.accepted);
+  EXPECT_EQ(zero.rs.backward_error, 0.0);
+  EXPECT_TRUE(std::isnan(zero.rs.forward_estimate));
+}
+
+TEST(LadderPolicy, NonFiniteNormOrScaleExitsBeforeAnyCorrection) {
+  const std::vector<core::ResidualNorm> bad = {
+      {kNaN, 1.0}, {kInf, 1.0}, {1.0, kNaN}, {1.0, kInf}, {0.0, kNaN},
+      {0.0, kInf}};
+  for (const auto& m : bad) {
+    ScriptedRung r({m});
+    EXPECT_EQ(r.run(), core::RungExit::nonfinite)
+        << m.norm << " / " << m.scale;
+    EXPECT_EQ(r.corrections, 0);
+    EXPECT_FALSE(r.rs.accepted);
+    EXPECT_FALSE(std::isfinite(r.rs.backward_error));
+  }
+  // A measurement that turns non-finite mid-rung stops the rung there.
+  ScriptedRung late({{1.0, 1.0}, {kNaN, 1.0}});
+  EXPECT_EQ(late.run(), core::RungExit::nonfinite);
+  EXPECT_EQ(late.corrections, 1);
+  EXPECT_EQ(late.rs.refine_iterations, 1);
+}
+
+TEST(LadderPolicy, RefineIterationsCountCorrections) {
+  // The zero-or-negative scale falls back to 1.
+  ScriptedRung r({{1.0, 0.0}, {0.25, 0.0}, {0.0625, 0.0}, {1e-30, 0.0}});
+  EXPECT_EQ(r.run(), core::RungExit::accepted);
+  EXPECT_EQ(r.corrections, 3);
+  EXPECT_EQ(r.rs.refine_iterations, 3);
+  EXPECT_EQ(r.rs.backward_error, 1e-30);
+}
+
+TEST(LadderPolicy, FloorAndRefactorGateConstants) {
+  using core::detail::eps_of_limbs;
+  EXPECT_EQ(core::rung_floor(24, 2), 64.0 * 24 * eps_of_limbs(2));
+  // cond * eps(2) == 1e-2 exactly (eps is a power of two): keep the
+  // factors; one ulp more condemns them; a NaN cond keeps them.
+  const double at = 1e-2 / eps_of_limbs(2);
+  ASSERT_EQ(at * eps_of_limbs(2), 1e-2);
+  EXPECT_FALSE(core::must_refactor(at, 2));
+  EXPECT_TRUE(core::must_refactor(std::nextafter(at, kInf), 2));
+  EXPECT_FALSE(core::must_refactor(kNaN, 2));
+}
+
 // --- the ladder --------------------------------------------------------------
 
 TEST(AdaptiveLsq, WellConditionedAcceptsAtDoubleDouble) {
@@ -257,6 +384,40 @@ TEST(AdaptiveLsq, ImpossibleToleranceExhaustsLadderGracefully) {
   for (const auto& r : res.rungs) EXPECT_FALSE(r.accepted);
   // The best solution so far is still returned (d8-level accuracy).
   EXPECT_LE(worst_vs_ones<8>(res.x), 1e-100);
+}
+
+// A single NaN or Inf entry in A or b must never come back converged:
+// the rung measures a non-finite backward error, runs no correction, and
+// the ladder stops climbing.  Neither may finite input whose answer is not
+// finite (an exactly zero column divides by a zero pivot).
+TEST(AdaptiveLsq, NonFiniteInputOrAnswerNeverConverges) {
+  std::mt19937_64 gen(21);
+  const auto a = blas::random_matrix<md::od_real>(24, 16, gen);
+  const auto b = blas::random_vector<md::od_real>(24, gen);
+  AdaptiveOptions opt;
+  opt.tol = 1e-25;
+  const auto check = [&](const blas::Matrix<md::od_real>& aa,
+                         const blas::Vector<md::od_real>& bb,
+                         const char* what) {
+    auto res =
+        core::adaptive_least_squares<8>(device::volta_v100(), aa, bb, opt);
+    EXPECT_FALSE(res.converged) << what;
+    ASSERT_EQ(res.rungs.size(), 1u) << what;
+    EXPECT_FALSE(res.rungs[0].accepted) << what;
+    EXPECT_EQ(res.rungs[0].refine_iterations, 0) << what;
+    EXPECT_FALSE(std::isfinite(res.rungs[0].backward_error)) << what;
+  };
+  for (const double bad : {kNaN, kInf}) {
+    auto abad = a;
+    abad(5, 3) = md::od_real(bad);
+    check(abad, b, std::isnan(bad) ? "NaN in A" : "Inf in A");
+    auto bbad = b;
+    bbad[7] = md::od_real(bad);
+    check(a, bbad, std::isnan(bad) ? "NaN in b" : "Inf in b");
+  }
+  auto singular = a;
+  for (int i = 0; i < singular.rows(); ++i) singular(i, 3) = md::od_real(0.0);
+  check(singular, b, "zero column");
 }
 
 TEST(AdaptiveLsq, RungTalliesAreExactAndHostWorkIsAccounted) {
@@ -377,7 +538,7 @@ TEST(AdaptiveLsqDry, LadderScheduleAndCostStructure) {
   EXPECT_TRUE(dry.rungs[0].refactorized);
   EXPECT_EQ(dry.rungs[1].precision, md::Precision::d4);
   EXPECT_EQ(dry.rungs[1].device_precision, md::Precision::d2);
-  EXPECT_EQ(dry.rungs[1].refine_iterations, opt.dry_refine_iters);
+  EXPECT_EQ(dry.rungs[1].refine_iterations, core::dry_refine_sweeps);
   EXPECT_EQ(dry.rungs[2].precision, md::Precision::d8);
 
   // Rung 0 prices exactly the d2 direct pipeline plus the condition

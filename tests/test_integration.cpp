@@ -10,7 +10,6 @@
 #include "blas/norms.hpp"
 #include "core/least_squares.hpp"
 #include "core/back_substitution.hpp"
-#include "core/forward_substitution.hpp"
 #include "core/refinement.hpp"
 
 using namespace mdlsq;
@@ -135,24 +134,4 @@ TEST(Integration, ModelIsDeterministic) {
     return dev.kernel_ms();
   };
   EXPECT_DOUBLE_EQ(run(), run());
-}
-
-TEST(Integration, TransposedSystemSolvesViaForwardOrientation) {
-  // U x = b solved by the pipeline equals solving the transposed lower
-  // system with forward logic (consistency between the two Algorithm 1
-  // orientations through the host references).
-  using T = mdreal<4>;
-  std::mt19937_64 gen(9004);
-  auto u = blas::random_upper_triangular<T>(24, gen);
-  auto xs = blas::random_vector<T>(24, gen);
-  auto b = blas::gemv(u, std::span<const T>(xs));
-  auto x1 = core::back_substitute(u, std::span<const T>(b));
-  // L = U^T; solve L y = b2 with b2 = L xs.
-  auto l = u.transposed();
-  auto b2 = blas::gemv(l, std::span<const T>(xs));
-  auto x2 = core::forward_substitute(l, std::span<const T>(b2));
-  for (int i = 0; i < 24; ++i) {
-    EXPECT_LE(std::fabs((x1[i] - xs[i]).to_double()), 1e4 * T::eps());
-    EXPECT_LE(std::fabs((x2[i] - xs[i]).to_double()), 1e4 * T::eps());
-  }
 }

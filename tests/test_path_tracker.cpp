@@ -1,13 +1,15 @@
 // The path-tracking subsystem (DESIGN.md §7): series arithmetic and its
 // exact declared tallies, homotopy recentering, tracked-path coefficients
 // against analytic paths over a conformance-style sweep, the escalation
-// pin (a stiff path must climb to d4 while a benign one stays at d2),
+// pin (a stiff path must climb to d4 while a benign one stays at d2), a
+// NaN coefficient that must fail the path instead of converging,
 // dry-run/functional schedule equivalence, tally conservation sequential
 // vs parallelism=4 vs batched, and batched tracking limb-identical to
 // sequential with exactly conserved tallies across shards.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
@@ -381,6 +383,28 @@ TEST(PathTracker, ConfiguredRungSequenceStopsAtTripleDouble) {
       EXPECT_LE(md::limbs_of(r.precision), 3);
   // Exact tallies survive the odd rung.
   EXPECT_TRUE(res.device_measured() == res.device_analytic());
+}
+
+// A NaN homotopy coefficient makes the first corrector measurement
+// non-finite: the step fails outright (no halving, no escalation) and
+// the path is not converged.
+TEST(PathTracker, NanCoefficientFailsTheFirstStep) {
+  const auto h = rational_homotopy<4>(8, 2.0, 0x7ac3, nullptr);
+  auto a = h.a();
+  a[1](2, 5) = mdreal<4>(std::numeric_limits<double>::quiet_NaN());
+  const path::Homotopy<mdreal<4>> bad(std::move(a), h.b());
+  auto res = path::track<4>(device::volta_v100(), bad, base_options(4));
+
+  EXPECT_FALSE(res.converged);
+  ASSERT_EQ(res.steps.size(), 1u);
+  const auto& s0 = res.steps[0];
+  EXPECT_FALSE(s0.accepted);
+  EXPECT_EQ(s0.halvings, 0);
+  ASSERT_EQ(s0.rungs.size(), 1u);
+  EXPECT_FALSE(s0.rungs[0].accepted);
+  EXPECT_EQ(s0.rungs[0].refine_iterations, 0);
+  EXPECT_FALSE(std::isfinite(s0.rungs[0].backward_error));
+  EXPECT_EQ(res.t_reached, 0.0);
 }
 
 TEST(PathTracker, InvalidRungSequenceThrows) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -505,6 +508,73 @@ TEST(ServeValidation, BatchReportAbsorbValidatesInRelease) {
   EXPECT_EQ(rep.problem_count(), 2);
   EXPECT_DOUBLE_EQ(rep.kernel_ms, 2.0);
   EXPECT_DOUBLE_EQ(rep.makespan_ms, 4.0);
+}
+
+// The service report must not depend on job completion order: device
+// rows keep their problem ids ascending and path rows stay ordered by id
+// (the ms values are exactly representable, so their sums are exact in
+// any order).
+TEST(ServeReport, AbsorbOrderDoesNotChangeTheJson) {
+  const auto device_row = [](int slot, int id) {
+    util::BatchDeviceRow r;
+    r.device = slot;
+    r.name = "V100";
+    r.problems = {id};
+    r.kernel_ms = 0.25 * (id + 1);
+    r.wall_ms = 0.5 * (id + 1);
+    return r;
+  };
+  const auto path_row = [](int id) {
+    util::BatchPathRow r;
+    r.path = id;
+    r.device = id % 2;
+    r.steps = id + 3;
+    r.kernel_ms = 0.125 * (id + 1);
+    return r;
+  };
+  const auto json_of = [&](const std::vector<int>& order) {
+    util::BatchReport rep;
+    for (const int id : order) {
+      rep.absorb(device_row(id % 2, id));
+      rep.absorb_path(path_row(id));
+    }
+    std::FILE* f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return std::string();
+    rep.write_json(f);
+    std::rewind(f);
+    std::string out;
+    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+      out.push_back(static_cast<char>(c));
+    std::fclose(f);
+    return out;
+  };
+  const std::string in_order = json_of({0, 1, 2, 3, 4, 5});
+  EXPECT_EQ(json_of({5, 2, 0, 3, 1, 4}), in_order);
+  EXPECT_EQ(json_of({4, 5, 3, 1, 2, 0}), in_order);
+  EXPECT_NE(in_order.find("\"problems\": [0, 2, 4]"), std::string::npos)
+      << in_order;
+}
+
+// --- non-finite input --------------------------------------------------------
+
+// An adaptive job on a NaN right-hand side resolves (no exception, no
+// hang) and reports an unconverged answer.
+TEST(ServeNonFinite, AdaptiveJobWithNanResolvesUnconverged) {
+  auto [a, b] = random_problem<4>(32, 16, 0x9a9);
+  b[3] = md::qd_real(std::numeric_limits<double>::quiet_NaN());
+  serve::SolverService<4> svc(
+      core::DevicePool::homogeneous(device::volta_v100(), 1));
+  serve::Request<4> req;
+  req.job = serve::AdaptiveLsqJob<4>{a, b, {}};
+  auto ticket = svc.submit(req);
+  ASSERT_TRUE(ticket.accepted);
+  const auto resp = ticket.result.get();
+  svc.drain();
+  EXPECT_EQ(resp.status, serve::JobStatus::done);
+  EXPECT_FALSE(resp.converged);
+  ASSERT_EQ(resp.rungs.size(), 1u);
+  EXPECT_FALSE(std::isfinite(resp.rungs[0].backward_error));
 }
 
 TEST(ServeValidation, BatchedTrackValidatesDryDimsInRelease) {

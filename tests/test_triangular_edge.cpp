@@ -9,7 +9,6 @@
 
 #include "blas/generate.hpp"
 #include "core/back_substitution.hpp"
-#include "core/forward_substitution.hpp"
 #include "core/tiled_back_sub.hpp"
 #include "support/test_support.hpp"
 
@@ -34,20 +33,11 @@ TYPED_TEST(TriangularEdgeTest, OneByOneSystems) {
   ASSERT_EQ(xb.size(), 1u);
   EXPECT_EQ(xb[0].to_double(), 2.5);
 
-  auto xf = core::forward_substitute(u, std::span<const T>(b));
-  ASSERT_EQ(xf.size(), 1u);
-  EXPECT_EQ(xf[0].to_double(), 2.5);
-
-  // Tiled device variants degenerate to the same 1x1 solve.
+  // The tiled device variant degenerates to the same 1x1 solve.
   auto dev_b = make_dev<T>(device::ExecMode::functional);
   auto tb = core::tiled_back_sub(dev_b, u, b, 1, 1);
   ASSERT_EQ(tb.size(), 1u);
   EXPECT_EQ(tb[0].to_double(), 2.5);
-
-  auto dev_f = make_dev<T>(device::ExecMode::functional);
-  auto tf = core::tiled_forward_sub(dev_f, u, b, 1, 1);
-  ASSERT_EQ(tf.size(), 1u);
-  EXPECT_EQ(tf[0].to_double(), 2.5);
 }
 
 TYPED_TEST(TriangularEdgeTest, ZeroPivotIsDetectedExactly) {
@@ -80,16 +70,6 @@ TYPED_TEST(TriangularEdgeTest, SingularBackSubstitutionYieldsNonFinite) {
   EXPECT_FALSE(x[2].isfinite());
 }
 
-TYPED_TEST(TriangularEdgeTest, SingularForwardSubstitutionYieldsNonFinite) {
-  using T = TypeParam;
-  std::mt19937_64 gen(35);
-  auto l = random_lower<T>(4, gen);
-  l(1, 1) = T(0.0);
-  blas::Vector<T> b = blas::random_vector<T>(4, gen);
-  auto x = core::forward_substitute(l, std::span<const T>(b));
-  EXPECT_FALSE(x[1].isfinite());
-}
-
 // A diagonal spanning 60 binary orders per step is far beyond double
 // precision conditioning, but the solves divide by exact powers of two,
 // so every precision must recover the solution limb-exactly.
@@ -105,11 +85,8 @@ TYPED_TEST(TriangularEdgeTest, PowerOfTwoGradedDiagonalSolvesExactly) {
     b[i] = T(d * (i + 1.0));  // exact: scaling by powers of two
   }
   auto xb = core::back_substitute(u, std::span<const T>(b));
-  auto xf = core::forward_substitute(u, std::span<const T>(b));
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n; ++i)
     EXPECT_TRUE(xb[i] == want[i]) << "back, row " << i;
-    EXPECT_TRUE(xf[i] == want[i]) << "forward, row " << i;
-  }
 
   // The tiled device path hits the same values through the
   // invert-and-multiply stages.

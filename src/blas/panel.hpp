@@ -1,12 +1,13 @@
-// Panel kernels of the blocked pipelines, written once against the
-// accessor interface (StagedView / HostView, blas/staged_view.hpp) so the
-// same task-graph bodies run on either memory layout (DESIGN.md §5, §8).
+// Panel kernels of the blocked pipelines, written against the element
+// accessor interface of blas::StagedView (blas/staged_view.hpp) that the
+// task-graph bodies use on resident planes (DESIGN.md §5, §8).
 //
 // These are the bodies the blocked QR, the tiled back substitution and
 // the factor-reusing correction solves launch; each states its exact
 // multiple-double operation order, which is what makes the staged-
-// resident path limb-identical to the host path and the measured tallies
-// equal to the analytic declarations at every parallelism width:
+// resident path limb-identical to the host reference loops and the
+// measured tallies equal to the analytic declarations at every
+// parallelism width:
 //
 //   panel_col_dots      w[c] = beta (v^H A)[:,c]   — dot reduced in
 //                       ascending row order, then one scale by beta
@@ -28,6 +29,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "blas/matrix.hpp"
 #include "blas/staged_view.hpp"
 
 namespace mdlsq::blas {

@@ -3,14 +3,14 @@
 //
 // A staged matrix keeps limb s of every element in one contiguous plane
 // of doubles (device/staged.hpp).  StagedView addresses a rectangular
-// window of such storage through the same get/set element interface the
-// host blas::Matrix offers through HostView, so every accessor-generic
-// kernel — gemm_block, the panel kernels below, the task-graph bodies of
-// the blocked QR and the tiled back substitution — runs unchanged on
-// either layout.  Views are cheap (a pointer, a stride and four ints),
-// are passed by value into launch bodies, and never allocate; writing
-// through a view mutates the staged buffer it windows, which is what
-// keeps intermediate pipeline results device-resident across launches.
+// window of such storage through a get/set element interface, which the
+// accessor-generic kernels — gemm_block, the panel kernels of
+// blas/panel.hpp, the task-graph bodies of the blocked QR and the tiled
+// back substitution — are written against.  Views are cheap (a pointer,
+// a stride and four ints), are passed by value into launch bodies, and
+// never allocate; writing through a view mutates the staged buffer it
+// windows, which is what keeps intermediate pipeline results
+// device-resident across launches.
 //
 // Element access gathers the limbs of one element from the planes (the
 // device's per-thread register load: adjacent elements are adjacent in
@@ -29,7 +29,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "blas/matrix.hpp"
 #include "blas/scalar.hpp"
 
 namespace mdlsq::blas {
@@ -118,38 +117,6 @@ class StagedView {
   double* d_ = nullptr;
   std::size_t plane_ = 0;
   int ld_ = 0;
-  int r0_ = 0, c0_ = 0;
-  int rows_ = 0, cols_ = 0;
-};
-
-// The host-layout counterpart: the same get/set interface over a
-// blas::Matrix window, so accessor-generic kernels run on either layout
-// (the staged-vs-host conformance tests pin them limb-identical).
-template <class T>
-class HostView {
- public:
-  HostView() = default;
-  explicit HostView(Matrix<T>& m) : HostView(m, 0, 0, m.rows(), m.cols()) {}
-  HostView(Matrix<T>& m, int r0, int c0, int rows, int cols)
-      : m_(&m), r0_(r0), c0_(c0), rows_(rows), cols_(cols) {
-    if (r0 < 0 || c0 < 0 || rows < 0 || cols < 0 || r0 + rows > m.rows() ||
-        c0 + cols > m.cols())
-      throw std::invalid_argument(
-          "mdlsq: HostView window exceeds its matrix");
-  }
-
-  int rows() const noexcept { return rows_; }
-  int cols() const noexcept { return cols_; }
-  T get(int i, int j) const noexcept { return (*m_)(r0_ + i, c0_ + j); }
-  void set(int i, int j, const T& v) const noexcept {
-    (*m_)(r0_ + i, c0_ + j) = v;
-  }
-  HostView block(int i0, int j0, int rows, int cols) const {
-    return HostView(*m_, r0_ + i0, c0_ + j0, rows, cols);
-  }
-
- private:
-  Matrix<T>* m_ = nullptr;
   int r0_ = 0, c0_ = 0;
   int rows_ = 0, cols_ = 0;
 };

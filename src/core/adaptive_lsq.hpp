@@ -21,8 +21,9 @@
 //      the existing lower-precision factors are reused and escalation
 //      costs refinement iterations, not a refactorization.
 //   2. Polish.  Iterative refinement with residuals at the rung precision
-//      p and correction solves on the factors (device-priced launches,
-//      refinement.hpp): eta = ||A^H (b - A x)||_inf / scale is driven down
+//      p and correction solves on the factors, held resident (ResidentQr,
+//      device-priced launches, refinement.hpp): eta =
+//      ||A^H (b - A x)||_inf / scale is driven down
 //      until the acceptance test passes, the rung's measurement floor
 //      (~eps(p)) is reached (escalate; factors still healthy), or eta
 //      stops contracting (factors exhausted; next rung refactorizes).
@@ -191,6 +192,11 @@ void launch_cond_est(device::Device& dev, int n, int tile, std::int64_t esz,
              std::forward<Body>(body));
 }
 
+// The ladder's live factors at L limbs, held resident for the priced
+// correction solves.
+template <int L>
+using LadderFactors = ResidentQr<md::mdreal<L>>;
+
 // Mutable ladder state: the accumulated solution at the target precision
 // and the live factors at whichever precision last factorized.
 template <int NH>
@@ -199,7 +205,7 @@ struct AdaptiveState {
   // Live factors at whichever instantiated precision last factorized —
   // one variant over the whole instantiation list instead of a hand-kept
   // optional per hard-wired count (monostate: no factors yet).
-  limb_variant_t<LowPrecisionFactors> factors;
+  limb_variant_t<LadderFactors> factors;
   int factor_limbs = 0;  // 0: no factors yet
   bool factors_stagnated = false;
   double cond_est = std::numeric_limits<double>::infinity();
@@ -208,13 +214,12 @@ struct AdaptiveState {
   double anorm_one = 0, anorm_inf = 0, bnorm_inf = 0;
 
   template <int L>
-  LowPrecisionFactors<L>& slot() {
-    return std::get<LowPrecisionFactors<L>>(factors);
+  const LadderFactors<L>& slot() const {
+    return std::get<LadderFactors<L>>(factors);
   }
   template <int L>
-  void set_factors(BlockedQrOutput<md::mdreal<L>>&& o) {
-    factors.template emplace<LowPrecisionFactors<L>>(LowPrecisionFactors<L>{
-        QrFactors<md::mdreal<L>>{std::move(o.q), std::move(o.r)}});
+  void set_factors(const QrFactors<md::mdreal<L>>& f) {
+    factors.template emplace<LadderFactors<L>>(LadderFactors<L>::from_host(f));
     factor_limbs = L;
     factors_stagnated = false;
   }
@@ -298,7 +303,7 @@ RungExit run_rung(const device::DeviceSpec& spec,
     st.cond_est = est.cond;
     for (int j = 0; j < c; ++j)
       st.x[j] = sol.x[j].template to_precision<NH>();
-    st.template set_factors<P>(std::move(sol.factors));
+    st.template set_factors<P>(sol.factors);
     rs.refactorized = true;
   }
   rs.cond_estimate = st.cond_est;

@@ -18,7 +18,6 @@
 // pricer, the per-problem solve and the per-rung escalation rows.
 #pragma once
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -292,33 +291,11 @@ BatchedLsqResult<T> batched_least_squares(
       rep);
 
   // Escalation statistics: one report row per ladder rung that any
-  // problem entered, in ladder order (adaptive pipeline only).
-  if (opt.pipeline == BatchPipeline::adaptive) {
-    // The rung precisions actually observed, ascending — configured rung
-    // sequences can contain any instantiated limb count, so the rows are
-    // collected from the results instead of a hard-wired {1, 2, 4, 8}.
-    std::vector<int> seen;
+  // problem entered, in ladder order, each summed in problem order
+  // (adaptive pipeline only).
+  if (opt.pipeline == BatchPipeline::adaptive)
     for (const auto& pr : out.problems)
-      for (const auto& rg : pr.rungs) seen.push_back(md::limbs_of(rg.precision));
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (int limbs : seen) {
-      util::BatchRungRow rr;
-      rr.precision = md::Precision(limbs);
-      for (const auto& pr : out.problems)
-        for (const auto& rg : pr.rungs) {
-          if (rg.precision != rr.precision) continue;
-          rr.problems += 1;
-          rr.refactorizations += rg.refactorized ? 1 : 0;
-          rr.accepted += rg.accepted ? 1 : 0;
-          rr.refine_iterations += rg.refine_iterations;
-          rr.tally += rg.analytic;
-          rr.dp_gflop += rg.dp_gflop();
-          rr.kernel_ms += rg.kernel_ms;
-        }
-      if (rr.problems > 0) rep.rungs.push_back(std::move(rr));
-    }
-  }
+      for (const auto& rg : pr.rungs) rep.absorb_rung(rg);
   return out;
 }
 

@@ -23,9 +23,11 @@
 //     solve of core/refinement.hpp), so the path tracker's schedule is
 //     walked identically in functional and dry-run modes.
 //
-// The cached QR factors are exposed (factors()), so a Newton corrector
-// can keep refining against them instead of refactorizing per step —
-// the tracker's escalation currency (src/path/tracker.hpp).
+// The factors are cached twice: on the host (factors(), the reference
+// solve_diag) and resident (one core::ResidentQr, every device-priced
+// diagonal solve), so a Newton corrector can keep refining against them
+// instead of refactorizing per step — the tracker's escalation currency
+// (src/path/tracker.hpp).
 //
 // Input validation follows the thrown-error convention of core/: invalid
 // shapes raise std::invalid_argument (asserts would vanish under NDEBUG
@@ -59,8 +61,10 @@ class BlockToeplitzSolver {
       : blocks_(std::move(blocks)) {
     validate_blocks();
     qr_ = householder_qr(blocks_[0]);
-    build_r_top();
-    build_residency();
+    // A structural staging copy, like the band blocks: no transfer is
+    // priced.
+    resident_ = ResidentQr<T>::from_host(qr_);
+    build_staged_blocks();
   }
 
   // Device-priced factorization: T_0 is staged (explicit priced
@@ -83,18 +87,9 @@ class BlockToeplitzSolver {
     auto sa = dev.stage(blocks_[0]);
     StagedQr<T> f = blocked_qr_staged_run<T>(dev, &sa, m, m, tile);
     qr_ = QrFactors<T>{dev.unstage(f.q), dev.unstage(f.r)};
-    build_r_top();
-    // The factors are ALREADY resident: keep Q's staged buffer and copy
-    // R's leading triangle plane-contiguously instead of re-staging the
-    // just-unstaged host matrices.
-    staged_q_ = std::move(f.q);
-    staged_rtop_ = device::Staged2D<T>(m, m);
-    const auto rv = f.r.view();
-    const auto tv = staged_rtop_.view();
-    for (int i = 0; i < m; ++i)
-      for (int s = 0; s < blas::StagedView<T>::planes; ++s)
-        md::planes::copy(rv.row_segment(s, i, i, m - i),
-                         tv.row_segment(s, i, i, m - i));
+    // The factors are ALREADY resident: keep them instead of re-staging
+    // the just-unstaged host matrices.
+    resident_ = ResidentQr<T>::from_staged(std::move(f), m);
     build_staged_blocks();
   }
 
@@ -110,9 +105,8 @@ class BlockToeplitzSolver {
     return blocks_;
   }
 
-  // The cached factorization of T_0, exposed so correction solves can
-  // reuse it (core/refinement.hpp's correction_solve_run, the adaptive
-  // ladder, the path tracker's Newton corrector).
+  // The cached host factorization of T_0 (the path tracker's condition
+  // estimate reads its R).
   const QrFactors<T>& factors() const noexcept { return qr_; }
 
   // Solves for the series coefficients x_0..x_K given rhs b_0..b_K
@@ -137,33 +131,18 @@ class BlockToeplitzSolver {
 
   // One triangular solve with the cached factorization of T_0.
   blas::Vector<T> solve_diag(const blas::Vector<T>& r) const {
-    const int m = block_dim();
-    if (static_cast<int>(r.size()) != m)
-      throw std::invalid_argument(
-          "mdlsq: BlockToeplitzSolver rhs length must equal the block "
-          "dimension");
-    blas::Vector<T> y(m);
-    for (int j = 0; j < m; ++j) {
-      T s{};
-      for (int i = 0; i < m; ++i) s += blas::conj_of(qr_.q(i, j)) * r[i];
-      y[j] = s;
-    }
-    return back_substitute(r_top_, std::span<const T>(y));
+    validate_rhs_length(r.size());
+    return least_squares_with_factors(qr_, std::span<const T>(r));
   }
 
-  // Device-priced diagonal solve on the cached factors: exactly the
-  // factor-reusing correction solve of the refinement machinery, issued
-  // as the "refine Q^H r" + "refine back sub" launches against the
-  // STAGED-RESIDENT factor copies (limb-identical to the host-factor
-  // solve; the staged conformance suite pins it).
+  // Device-priced diagonal solve on the cached factors: the factor-
+  // reusing correction solve of core/refinement.hpp on the resident
+  // factors (limb-identical to solve_diag; the staged conformance suite
+  // pins it).
   blas::Vector<T> solve_diag_on(device::Device& dev, std::span<const T> r,
                                 int tile) const {
-    if (static_cast<int>(r.size()) != block_dim())
-      throw std::invalid_argument(
-          "mdlsq: BlockToeplitzSolver rhs length must equal the block "
-          "dimension");
-    return correction_solve_staged_run<T>(dev, &staged_q_, &staged_rtop_, r,
-                                          block_dim(), block_dim(), tile);
+    validate_rhs_length(r.size());
+    return resident_.solve_on(dev, r, tile);
   }
 
   // Device-priced series solve: per order one tiled convolution launch
@@ -239,11 +218,10 @@ class BlockToeplitzSolver {
               }
             });
       }
-      auto xk = correction_solve_staged_run<T>(
-          dev, fn ? &self->staged_q_ : nullptr,
-          fn ? &self->staged_rtop_ : nullptr,
-          fn ? std::span<const T>(r) : std::span<const T>{}, m, m, tile);
-      if (fn) x.push_back(std::move(xk));
+      if (fn)
+        x.push_back(self->resident_.solve_on(dev, r, tile));
+      else
+        correction_solve_dry<T>(dev, m, m, tile);
     }
     return x;
   }
@@ -270,34 +248,19 @@ class BlockToeplitzSolver {
           "dimension");
   }
 
+  void validate_rhs_length(std::size_t n) const {
+    if (static_cast<int>(n) != block_dim())
+      throw std::invalid_argument(
+          "mdlsq: BlockToeplitzSolver rhs length must equal the block "
+          "dimension");
+  }
+
   void validate_rhs(const std::vector<blas::Vector<T>>& rhs) const {
-    for (const auto& b : rhs)
-      if (static_cast<int>(b.size()) != block_dim())
-        throw std::invalid_argument(
-            "mdlsq: BlockToeplitzSolver rhs length must equal the block "
-            "dimension");
+    for (const auto& b : rhs) validate_rhs_length(b.size());
   }
 
-  void build_r_top() {
-    const int m = block_dim();
-    r_top_ = blas::Matrix<T>(m, m);
-    for (int i = 0; i < m; ++i)
-      for (int j = i; j < m; ++j) r_top_(i, j) = qr_.r(i, j);
-  }
-
-  // The staged-resident mirrors every device-priced solve reads: the
-  // factors, the leading triangle, and the Toeplitz band blocks.  Built
-  // once at factor time (a host-side structural copy, like all staging
-  // conversions — the priced transfers are the ctor's stage()/unstage()
-  // and the per-solve residual/correction movement).  The device ctor
-  // keeps the factors it already holds resident and only needs the band
-  // blocks staged.
-  void build_residency() {
-    staged_q_ = device::Staged2D<T>::from_host(qr_.q);
-    staged_rtop_ = device::Staged2D<T>::from_host(r_top_);
-    build_staged_blocks();
-  }
-
+  // The staged band blocks the series solve's convolution launches read
+  // (a host-side structural copy, like all staging conversions).
   void build_staged_blocks() {
     staged_blocks_.clear();
     staged_blocks_.reserve(blocks_.size());
@@ -307,9 +270,7 @@ class BlockToeplitzSolver {
 
   std::vector<blas::Matrix<T>> blocks_;
   QrFactors<T> qr_;
-  blas::Matrix<T> r_top_;
-  device::Staged2D<T> staged_q_;
-  device::Staged2D<T> staged_rtop_;
+  ResidentQr<T> resident_;
   std::vector<device::Staged2D<T>> staged_blocks_;
 };
 

@@ -22,10 +22,10 @@
 // the whole schedule, and the factors are RETURNED resident so downstream
 // launches (Q^H b, back substitution, factor-reusing correction solves)
 // read them without a host round trip.  Kernel bodies address the planes
-// through blas::StagedView and the layout-generic panel kernels of
-// blas/panel.hpp (panel_col_dots, panel_rank1_update, gemm_block), so the
-// same task-graph bodies run on host storage too — which is what the
-// staged-vs-host conformance suite pins limb-identical.  The host entry
+// through blas::StagedView and the panel kernels of blas/panel.hpp
+// (panel_col_dots, panel_rank1_update, gemm_block), whose stated
+// operation orders keep the factors limb-identical to the host data flow
+// the staged-vs-host conformance suite rebuilds.  The host entry
 // points below wrap the driver in explicit priced stage()/unstage()
 // transfers; their schedules and transfer totals are unchanged from the
 // pre-resident code (the model always priced A in and Q, R out).
@@ -65,9 +65,11 @@
 #include "blas/matrix.hpp"
 #include "blas/panel.hpp"
 #include "blas/vector_ops.hpp"
+#include "core/householder.hpp"
 #include "core/tally_rules.hpp"
 #include "device/launch.hpp"
 #include "device/staged.hpp"
+#include "md/planes.hpp"
 #include "obs/trace.hpp"
 
 namespace mdlsq::core {
@@ -86,12 +88,6 @@ inline constexpr const char* R_plus_YWTC = "R+YWTC";
 
 inline constexpr int ceil_div(int a, int b) noexcept { return (a + b - 1) / b; }
 
-template <class T>
-struct BlockedQrOutput {
-  blas::Matrix<T> q;  // M-by-M unitary (functional mode only)
-  blas::Matrix<T> r;  // M-by-C upper triangular (functional mode only)
-};
-
 // The factors left device-resident by the staged driver (functional mode
 // only; both empty after a dry run).
 template <class T>
@@ -99,6 +95,22 @@ struct StagedQr {
   device::Staged2D<T> q;  // M-by-M unitary
   device::Staged2D<T> r;  // M-by-C upper triangular
 };
+
+// R's leading c-by-c triangle as its own staged buffer, zeros below the
+// diagonal: plane-contiguous row-segment copies, a device-side structural
+// copy (no multiple-double operations, no transfer).  The back
+// substitutions run on such copies, so the resident R stays intact.
+template <class T>
+device::Staged2D<T> upper_triangle(const device::Staged2D<T>& r, int c) {
+  device::Staged2D<T> t(c, c);
+  const auto rv = r.view();
+  const auto tv = t.view();
+  for (int i = 0; i < c; ++i)
+    for (int s = 0; s < blas::StagedView<T>::planes; ++s)
+      md::planes::copy(rv.row_segment(s, i, i, c - i),
+                       tv.row_segment(s, i, i, c - i));
+  return t;
+}
 
 // The shape contract of every blocked-QR and least-squares entry point:
 // an M-by-C operand with C a whole number of n-column tiles and M >= C.
@@ -259,7 +271,7 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
       const int P = n - l - 1;  // trailing columns within the panel
       if (P > 0) {
         // The trailing panel R[cg:M, cg+1 : cg+1+P] the two fan-out
-        // launches below address through the layout-generic kernels.
+        // launches below address through the panel kernels.
         const auto pan = fn ? R.view(cg, cg + 1, L, P) : blas::StagedView<T>();
         const auto vs = std::span<const T>(v.data(), static_cast<std::size_t>(L));
         {  // (b) w = beta (v^H R_panel) — one task per column block, each
@@ -497,12 +509,11 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
 // A in and unstages Q and R out as explicit priced transfers — the same
 // (2 M C + M M) element total the pre-resident pipeline declared.
 template <class T>
-BlockedQrOutput<T> blocked_qr_run(device::Device& dev,
-                                  const blas::Matrix<T>* a, int M, int C,
-                                  int n) {
+QrFactors<T> blocked_qr_run(device::Device& dev, const blas::Matrix<T>* a,
+                            int M, int C, int n) {
   const bool fn = dev.functional();
   assert(!fn || a != nullptr);
-  BlockedQrOutput<T> out;
+  QrFactors<T> out;
   if (fn) {
     device::Staged2D<T> sa = dev.stage(*a);
     StagedQr<T> f = blocked_qr_staged_run<T>(dev, &sa, M, C, n);
@@ -519,8 +530,8 @@ BlockedQrOutput<T> blocked_qr_run(device::Device& dev,
 
 // Functional entry point: factor a real matrix that exists on the host.
 template <class T>
-BlockedQrOutput<T> blocked_qr(device::Device& dev, const blas::Matrix<T>& a,
-                              int tile) {
+QrFactors<T> blocked_qr(device::Device& dev, const blas::Matrix<T>& a,
+                        int tile) {
   check_qr_shape("blocked_qr", a.rows(), a.cols(), tile);
   return blocked_qr_run<T>(dev, &a, a.rows(), a.cols(), tile);
 }

@@ -39,7 +39,7 @@ struct LeastSquaresResult {
   // The QR factors the pipeline computed anyway (functional mode only),
   // kept so callers can reuse them — the adaptive ladder refines against
   // them instead of refactorizing (adaptive_lsq.hpp).
-  BlockedQrOutput<T> factors;
+  QrFactors<T> factors;
 };
 
 // The post-factorization stages of the pipeline — y = (Q^H b)[0:C]
@@ -88,16 +88,9 @@ device::Staged1D<T> staged_lsq_finish(device::Device& dev,
 
   if (fn) {
     // The back substitution inverts diagonal tiles in place, so it runs
-    // on a device-side copy of R's leading triangle (plane-contiguous
-    // row-segment copies; zeros elsewhere) — the resident factors stay
+    // on a copy of R's leading triangle — the resident factors stay
     // intact for reuse.
-    device::Staged2D<T> rtop(C, C);
-    const auto rv = f->r.view();
-    const auto tv = rtop.view();
-    for (int i = 0; i < C; ++i)
-      for (int s = 0; s < blas::StagedView<T>::planes; ++s)
-        md::planes::copy(rv.row_segment(s, i, i, C - i),
-                         tv.row_segment(s, i, i, C - i));
+    device::Staged2D<T> rtop = upper_triangle(f->r, C);
     tiled_back_sub_staged_run<T>(dev, &rtop, &y, C / tile, tile);
   } else {
     tiled_back_sub_staged_run<T>(dev, nullptr, nullptr, C / tile, tile);
@@ -139,7 +132,7 @@ LeastSquaresResult<T> least_squares_run(device::Device& dev,
 
   if (fn) {
     out.x = dev.unstage(y);
-    out.factors = BlockedQrOutput<T>{dev.unstage(f.q), dev.unstage(f.r)};
+    out.factors = QrFactors<T>{dev.unstage(f.q), dev.unstage(f.r)};
   } else {
     dev.price_staging<T>(C, 1);
     dev.price_staging<T>(M, M);

@@ -16,10 +16,20 @@
 //
 // The bench_ablation_refinement binary prices this against a direct
 // high-precision solve on the device model.
+//
+// The correction solve itself has one host body
+// (least_squares_with_factors, core/back_substitution.hpp) and one
+// device-priced body (correction_solve_staged_run below), which runs
+// against factors held resident in a ResidentQr — the factor store of the
+// adaptive ladder (adaptive_lsq.hpp) and of the block Toeplitz solver
+// behind the path tracker (block_toeplitz.hpp).
 #pragma once
 
 #include <cassert>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -35,67 +45,18 @@ inline constexpr const char* ref_qhr = "refine Q^H r";
 inline constexpr const char* ref_bs = "refine back sub";
 }  // namespace stage
 
-// Device-priced correction solve min ||r - A dx|| against already-computed
-// QR factors: y = (Q^H r)[0:c], then back substitution on the top block of
-// R — the same arithmetic as LowPrecisionFactors::solve, issued as two
-// kernel launches so the device model prices each refinement iteration of
-// the adaptive ladder.  `f` is null (and `r` empty) in dry-run mode, where
-// only the dimensions drive the schedule; the declared tallies match the
-// functional bodies exactly, as everywhere else.
-template <class TL>
-blas::Vector<TL> correction_solve_run(device::Device& dev,
-                                      const QrFactors<TL>* f,
-                                      std::span<const TL> r, int m, int c,
-                                      int tile) {
-  using O = ops_of<TL>;
-  [[maybe_unused]] const bool fn = dev.functional();
-  assert(!fn || (f != nullptr && static_cast<int>(r.size()) == m));
-  const std::int64_t esz = 8 * blas::scalar_traits<TL>::doubles_per_element;
-
-  // Wall-clock transfer model: residual in, correction out.
-  dev.transfer((std::int64_t(m) + c) * esz);
-
-  blas::Vector<TL> y(c);
-  {
-    const md::OpTally ops = O::fma() * (std::int64_t(m) * c);
-    const md::OpTally serial = O::fma() * ceil_div(m, tile) + O::add() * 6;
-    dev.launch(stage::ref_qhr, c, tile, ops,
-               (std::int64_t(m) * c + m + c) * esz, serial, [&] {
-                 for (int j = 0; j < c; ++j) {
-                   TL s{};
-                   for (int i = 0; i < m; ++i)
-                     s += blas::conj_of(f->q(i, j)) * r[i];
-                   y[j] = s;
-                 }
-               });
-  }
-
-  blas::Vector<TL> dx;
-  {
-    const md::OpTally ops =
-        O::fms() * (std::int64_t(c) * (c - 1) / 2) + O::div() * c;
-    // The solve is one dependency chain from the last row up.
-    const md::OpTally serial = (O::fms() + O::div()) * c;
-    dev.launch(stage::ref_bs, 1, tile, ops,
-               (std::int64_t(c) * c / 2 + 2 * c) * esz, serial, [&] {
-                 blas::Matrix<TL> top(c, c);
-                 for (int i = 0; i < c; ++i)
-                   for (int j = i; j < c; ++j) top(i, j) = f->r(i, j);
-                 dx = back_substitute(top, std::span<const TL>(y));
-               });
-  }
-  return dx;
-}
-
-// Staged-resident correction solve: the identical two launches issued
-// against RESIDENT factors — `q` the staged m-by-m unitary factor, `rtop`
-// the staged c-by-c leading triangle of R (zeros below the diagonal) —
-// through the layout-generic kernels of blas/panel.hpp.  Null factors
-// (and empty `r`) in dry-run mode.  Same declared tallies, bytes and
-// residual-in/correction-out transfer as correction_solve_run, and the
-// same multiple-double operation order, so the result is limb-identical
-// to a solve against the unstaged factors (the staged conformance suite
-// pins it).
+// The device-priced correction solve min ||r - A dx|| against cached QR
+// factors: y = (Q^H r)[0:c], then back substitution on R's leading
+// c-by-c triangle, issued as the "refine Q^H r" + "refine back sub"
+// launches so every refinement iteration of the adaptive ladder and every
+// corrector step of the path tracker is priced like any other kernel.
+// `q` holds (at least) Q's leading c columns and `rtop` the c-by-c
+// triangle (zeros below the diagonal), both staged (ResidentQr below);
+// the panel kernels of blas/panel.hpp run the same multiple-double
+// operation order as the host reference least_squares_with_factors, so
+// the result is limb-identical to it.  Null factors (and an empty `r`)
+// in dry-run mode, where only the dimensions drive the schedule; the
+// declared tallies match the functional bodies exactly.
 template <class T>
 blas::Vector<T> correction_solve_staged_run(device::Device& dev,
                                             const device::Staged2D<T>* q,
@@ -142,11 +103,49 @@ blas::Vector<T> correction_solve_staged_run(device::Device& dev,
 }
 
 // Dry-run pricing of one correction solve for given dimensions.
-template <class TL>
+template <class T>
 void correction_solve_dry(device::Device& dev, int m, int c, int tile) {
   assert(dev.mode() == device::ExecMode::dry_run);
-  correction_solve_run<TL>(dev, nullptr, {}, m, c, tile);
+  correction_solve_staged_run<T>(dev, nullptr, nullptr, {}, m, c, tile);
 }
+
+// QR factors held device-resident for repeated correction solves: Q's
+// leading c columns (all the solve reads) and R's leading c-by-c
+// triangle with zeros below the diagonal.  The adaptive ladder and the
+// block Toeplitz solver keep their factors this way.
+template <class T>
+struct ResidentQr {
+  device::Staged2D<T> q;     // m-by-c' (c' >= c): Q's leading columns
+  device::Staged2D<T> rtop;  // c-by-c upper triangle
+
+  int rows() const noexcept { return q.rows(); }
+  int cols() const noexcept { return rtop.cols(); }
+
+  // Keeps the factors the staged QR left resident: Q moves, and R's
+  // leading triangle is copied plane-contiguously.
+  static ResidentQr from_staged(StagedQr<T>&& f, int c) {
+    return {std::move(f.q), upper_triangle(f.r, c)};
+  }
+
+  // A structural staging copy of host factors.  The caller priced the
+  // transfer when it unstaged them, so none is priced here.
+  static ResidentQr from_host(const QrFactors<T>& f) {
+    const int m = f.q.rows(), c = f.r.cols();
+    ResidentQr out{device::Staged2D<T>(m, c), device::Staged2D<T>(c, c)};
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < c; ++j) out.q.set(i, j, f.q(i, j));
+    for (int i = 0; i < c; ++i)
+      for (int j = i; j < c; ++j) out.rtop.set(i, j, f.r(i, j));
+    return out;
+  }
+
+  // The priced correction solve on these factors; `r` has rows() entries.
+  blas::Vector<T> solve_on(device::Device& dev, std::span<const T> r,
+                           int tile) const {
+    return correction_solve_staged_run<T>(dev, &q, &rtop, r, rows(), cols(),
+                                          tile);
+  }
+};
 
 template <int NH>
 struct RefinementResult {
@@ -154,50 +153,6 @@ struct RefinementResult {
   std::vector<double> residual_history;  // ||b - A x||_inf per iteration
   int iterations = 0;
   bool converged = false;
-};
-
-// Precomputed low-precision factorization, reusable across right-hand
-// sides (the expensive part; O(n^3) in the cheap format).
-template <int NL>
-struct LowPrecisionFactors {
-  QrFactors<md::mdreal<NL>> qr;
-
-  template <int NH>
-  static LowPrecisionFactors factor(const blas::Matrix<md::mdreal<NH>>& a) {
-    blas::Matrix<md::mdreal<NL>> al(a.rows(), a.cols());
-    for (int i = 0; i < a.rows(); ++i)
-      for (int j = 0; j < a.cols(); ++j)
-        al(i, j) = a(i, j).template to_precision<NL>();
-    return {householder_qr(al)};
-  }
-
-  // Solve min ||r - A dx|| with the stored factors; r given in low
-  // precision.
-  blas::Vector<md::mdreal<NL>> solve(
-      std::span<const md::mdreal<NL>> r) const {
-    using TL = md::mdreal<NL>;
-    const int m = qr.q.rows(), c = qr.r.cols();
-    blas::Vector<TL> y(c);
-    for (int j = 0; j < c; ++j) {
-      TL s{};
-      for (int i = 0; i < m; ++i) s += blas::conj_of(qr.q(i, j)) * r[i];
-      y[j] = s;
-    }
-    blas::Matrix<TL> top(c, c);
-    for (int i = 0; i < c; ++i)
-      for (int j = i; j < c; ++j) top(i, j) = qr.r(i, j);
-    return back_substitute(top, std::span<const TL>(y));
-  }
-
-  // Same solve, issued through the device model so refinement iterations
-  // are priced like every other kernel (the adaptive ladder's escalation
-  // currency).
-  blas::Vector<md::mdreal<NL>> solve_on(device::Device& dev,
-                                        std::span<const md::mdreal<NL>> r,
-                                        int tile) const {
-    return correction_solve_run<md::mdreal<NL>>(dev, &qr, r, qr.q.rows(),
-                                                qr.r.cols(), tile);
-  }
 };
 
 // Full driver: factor once in NL limbs, refine to NH limbs.
@@ -211,7 +166,11 @@ RefinementResult<NH> refined_least_squares(
   const int m = a.rows(), c = a.cols();
   assert(static_cast<int>(b.size()) == m);
 
-  auto factors = LowPrecisionFactors<NL>::factor(a);
+  // Factor once, in the cheap format.
+  blas::Matrix<TL> al(m, c);
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < c; ++j) al(i, j) = a(i, j).template to_precision<NL>();
+  const QrFactors<TL> factors = householder_qr(al);
 
   RefinementResult<NH> out;
   out.x.assign(c, TH{});
@@ -238,7 +197,7 @@ RefinementResult<NH> refined_least_squares(
     // Cheap correction.
     blas::Vector<TL> rl(m);
     for (int i = 0; i < m; ++i) rl[i] = r[i].template to_precision<NL>();
-    auto dxl = factors.solve(std::span<const TL>(rl));
+    auto dxl = least_squares_with_factors(factors, std::span<const TL>(rl));
     for (int j = 0; j < c; ++j)
       out.x[j] += dxl[j].template to_precision<NH>();
   }

@@ -22,7 +22,7 @@
 // registers-to-global write-back) and the staged right-hand side becomes
 // the solution — so a pipeline that already holds R and y resident (the
 // least-squares solver) chains into it without a host round trip.  The
-// tile inversion body is the layout-generic blas::invert_upper_tile.
+// tile inversion body is blas::invert_upper_tile.
 // The host entry points wrap the driver in explicit priced
 // stage()/unstage() transfers, with totals unchanged from the
 // pre-resident code.

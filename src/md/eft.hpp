@@ -41,10 +41,10 @@ inline void quick_two_sum(double a, double b, double& s, double& e) noexcept {
 // subnormal range (|a|, |b| < 2^996 and |a*b| >= 2^-1021 suffices) —
 // the renormalized limbs of mdreal arithmetic live far inside that
 // range.  Batched kernels never take this scalar path at all: the
-// dispatched SIMD layer (md/simd/, planes::two_prod and the fused
-// double-double kernels) always uses a true fused multiply-add, which
-// is why ITS paths are bit-identical across ISAs on the full double
-// range including subnormals.
+// dispatched SIMD layer (md/simd/, the fused double-double kernels)
+// always uses a true fused multiply-add, which is why ITS paths are
+// bit-identical across ISAs on the full double range including
+// subnormals.
 #if defined(__FMA__) || defined(FP_FAST_FMA) || defined(__aarch64__)
 #define MDLSQ_EFT_HAVE_FAST_FMA 1
 #else

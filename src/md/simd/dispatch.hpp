@@ -1,5 +1,5 @@
-// Runtime ISA dispatch for the vectorized plane and fused double-double
-// kernels (DESIGN.md §9).
+// Runtime ISA dispatch for the fused double-double kernels (DESIGN.md
+// §9).
 //
 // The shipped binary is compiled for the baseline architecture; the wide
 // kernels live in per-ISA translation units built with target-scoped
@@ -7,9 +7,9 @@
 // CPUID-backed feature tests (__builtin_cpu_supports on x86-64, which
 // also verifies OS vector-state support via XGETBV; NEON is
 // architectural on aarch64).  Every entry of every table computes
-// bit-identical results — the lanes are elementwise IEEE operations and
-// the fused kernels run a fixed per-element operation sequence — so the
-// selection is purely a speed decision, pinned by tests/test_simd_planes.
+// bit-identical results — the fused kernels run a fixed per-element
+// sequence of elementwise IEEE operations — so the selection is purely a
+// speed decision, pinned by tests/test_simd_planes.
 //
 // force_isa()/clear_forced() pin the table for tests and for the
 // bench_suite simd cases (forced-scalar wall / forced-ISA wall is the
@@ -35,27 +35,13 @@ constexpr const char* name_of(Isa i) noexcept {
   return "?";
 }
 
-// One fully-bound kernel set.  Plane lanes operate on contiguous arrays
-// of n doubles; the dd_* kernels are the fused double-double (2-limb)
+// One fully-bound kernel set: the fused double-double (2-limb)
 // panel/update bodies over separate hi/lo limb planes addressed with a
 // leading dimension (row stride in doubles).  All index ranges are
 // half-open.  The fused kernels execute NO md operators and touch NO
 // tally: callers report the bulk op count (blas/fused_dd.hpp).
 struct KernelTable {
   Isa isa = Isa::scalar;
-
-  // s[i] = fl(a[i]+b[i]), e[i] the exact error (Knuth two_sum per lane).
-  void (*two_sum)(const double* a, const double* b, double* s, double* e,
-                  std::size_t n) = nullptr;
-  // p[i] = fl(a[i]*b[i]), e[i] the exact error (fma-based two_prod).
-  void (*two_prod)(const double* a, const double* b, double* p, double* e,
-                   std::size_t n) = nullptr;
-  // y[i] = y[i] + (alpha * x[i]) — mul then add, two roundings (the
-  // historical planes::axpy semantics; deliberately NOT contracted).
-  void (*axpy)(double alpha, const double* x, double* y,
-               std::size_t n) = nullptr;
-  // x[i] = ldexp(x[i], e) — exact power-of-two scaling.
-  void (*scale2)(double* x, int e, std::size_t n) = nullptr;
 
   // w[c] = (sum_t v[t] * A[t][c]) * beta for c in [c0, c1), dots in
   // ascending t order; A[t][c] at {a}hi/lo[t*lda + c].

@@ -78,73 +78,6 @@ struct DD {
 };
 
 // ---------------------------------------------------------------------------
-// Plane lanes (contiguous arrays of n doubles).
-// ---------------------------------------------------------------------------
-template <class V>
-void two_sum_lane(const double* a, const double* b, double* s, double* e,
-                  std::size_t n) {
-  constexpr std::size_t W = V::width;
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    typename V::reg sv, ev;
-    DD<V>::two_sum(V::load(a + i), V::load(b + i), sv, ev);
-    V::store(s + i, sv);
-    V::store(e + i, ev);
-  }
-  if constexpr (W > 1) {
-    if (i < n) two_sum_lane<VScalar>(a + i, b + i, s + i, e + i, n - i);
-  }
-}
-
-template <class V>
-void two_prod_lane(const double* a, const double* b, double* p, double* e,
-                   std::size_t n) {
-  constexpr std::size_t W = V::width;
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const auto x = V::load(a + i), y = V::load(b + i);
-    const auto pv = V::mul(x, y);
-    V::store(p + i, pv);
-    V::store(e + i, V::fma(x, y, V::neg(pv)));
-  }
-  if constexpr (W > 1) {
-    if (i < n) two_prod_lane<VScalar>(a + i, b + i, p + i, e + i, n - i);
-  }
-}
-
-template <class V>
-void axpy_lane(double alpha, const double* x, double* y, std::size_t n) {
-  constexpr std::size_t W = V::width;
-  const auto av = V::set1(alpha);
-  std::size_t i = 0;
-  for (; i + W <= n; i += W)  // mul then add: two roundings, never fused
-    V::store(y + i, V::add(V::load(y + i), V::mul(av, V::load(x + i))));
-  if constexpr (W > 1) {
-    if (i < n) axpy_lane<VScalar>(alpha, x + i, y + i, n - i);
-  }
-}
-
-template <class V>
-void scale2_lane(double* x, int e, std::size_t n) {
-  // 2^e is exactly representable for e in [-1074, 1023]; multiplying by
-  // it rounds the exact product once, which is precisely what ldexp
-  // returns — on the full double range, subnormal results included.
-  // Outside that range (ldexp can still be exact via cancellation of
-  // prior scalings) every backend takes the identical libm path.
-  if (e >= -1074 && e <= 1023) {
-    constexpr std::size_t W = V::width;
-    const auto cv = V::set1(std::ldexp(1.0, e));
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) V::store(x + i, V::mul(V::load(x + i), cv));
-    if constexpr (W > 1) {
-      if (i < n) scale2_lane<VScalar>(x + i, e, n - i);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) x[i] = std::ldexp(x[i], e);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Fused double-double panel/update kernels.  Lanes run across the output
 // column index; reductions stay inside a lane in ascending t order.
 // ---------------------------------------------------------------------------
@@ -295,10 +228,6 @@ template <class V>
 KernelTable make_table(Isa isa) noexcept {
   KernelTable t;
   t.isa = isa;
-  t.two_sum = &two_sum_lane<V>;
-  t.two_prod = &two_prod_lane<V>;
-  t.axpy = &axpy_lane<V>;
-  t.scale2 = &scale2_lane<V>;
   t.dd_col_dots = &dd_col_dots_kernel<V>;
   t.dd_rank1 = &dd_rank1_kernel<V>;
   t.dd_gemm_nt = &dd_gemm_nt_kernel<V>;

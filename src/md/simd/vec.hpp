@@ -1,5 +1,5 @@
-// Width-templated IEEE-754 vector backends for the dispatched plane and
-// fused double-double kernels (DESIGN.md §9).
+// Width-templated IEEE-754 vector backends for the dispatched fused
+// double-double kernels (DESIGN.md §9).
 //
 // Each backend exposes the same tiny algebra — load/store, broadcast,
 // strided gather, add/sub/mul, correctly-rounded fma, exact negation —

@@ -134,6 +134,7 @@ BatchedTrackResult<NH> batched_track(
     const BatchedTrackOptions& opt = {}) {
   detail::validate_track_batch<NH>(problems, opt);
   const TrackOptions dry_opt = detail::path_track_options(opt, nullptr);
+  for (const auto& p : problems) check_track_options(p.dim(), dry_opt, NH);
   BatchedTrackResult<NH> out;
   out.shards = core::assign_shards(
       pool, static_cast<int>(problems.size()), opt,

@@ -94,21 +94,51 @@ struct TrackOptions : core::ExecOptions {
   int tile = 4;               // device pipeline tile (must divide the dim)
   int start_limbs = 2;        // first rung of the per-step ladder
   int max_limbs = 0;          // 0: the input type's limb count
-  double step_factor = 0.25;  // h = step_factor * pole_radius
-  double max_step = 0.25;
-  double min_step = 1e-8;
-  int max_halvings = 8;
   int max_steps = 256;
   PredictorKind predictor = PredictorKind::series;
-  int pade_denominator = 1;  // denominator degree of the Padé predictor
-  // Steps of the expected schedule priced by the dry run.
-  int dry_steps = 8;
 };
 
+// Step-size control: h = step_factor * pole_radius, clamped to
+// [min_step, max_step]; a stagnating corrector halves h at most
+// max_halvings times.
+inline constexpr double step_factor = 0.25;
+inline constexpr double max_step = 0.25;
+inline constexpr double min_step = 1e-8;
+inline constexpr int max_halvings = 8;
+// Denominator degree of the Padé predictor.
+inline constexpr int pade_denominator = 1;
 // Corrector budget per rung.
 inline constexpr int corrector_iter_cap = 40;
-// Correction rounds per step assumed by the dry-run pricing.
+// Steps, and correction rounds per step, of the dry-run pricing's
+// expected schedule.
+inline constexpr int dry_steps = 8;
 inline constexpr int dry_corrector_rounds = 2;
+
+// The option contract of track() for a homotopy of dimension `dim` at
+// target precision `nh` limbs: a tile dividing the dimension, order >= 1,
+// a nonempty interval, start_limbs within the ladder and a rung sequence
+// core::resolve_rungs accepts.  Throws std::invalid_argument on a
+// violation and returns the resolved rung sequence.  submit() and
+// batched_track call it too, so a malformed track is refused before any
+// pricing.
+inline std::vector<int> check_track_options(int dim, const TrackOptions& opt,
+                                            int nh) {
+  if (opt.tile < 1 || dim % opt.tile != 0)
+    throw std::invalid_argument(
+        "mdlsq: track requires a tile dividing the homotopy dimension");
+  if (opt.order < 1)
+    throw std::invalid_argument("mdlsq: track requires order >= 1");
+  // Intervals inside the stepping loop's epsilon would "converge" in zero
+  // steps with an untouched (all-zero) solution — reject them outright.
+  if (!(opt.t_end > opt.t_start + 1e-12))
+    throw std::invalid_argument(
+        "mdlsq: track requires t_end > t_start (by more than 1e-12)");
+  const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, nh) : nh;
+  if (opt.start_limbs < 1 || opt.start_limbs > maxl)
+    throw std::invalid_argument(
+        "mdlsq: track start_limbs must lie within the ladder");
+  return core::resolve_rungs(opt.rungs, opt.start_limbs, maxl);
+}
 
 // One accepted (or abandoned) step of the tracker.
 struct StepStats {
@@ -429,8 +459,8 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
 
   // Step-size choice from the pole-radius estimate.
   st.pole_radius = pole_radius_estimate(xs);
-  double hs = std::min(opt.step_factor * st.pole_radius, opt.max_step);
-  hs = std::max(hs, opt.min_step);
+  double hs = std::min(step_factor * st.pole_radius, max_step);
+  hs = std::max(hs, min_step);
   hs = std::min(hs, opt.t_end - t0);
 
   // Corrector target state, carried at the full precision NH.
@@ -452,7 +482,7 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
                            [&] { xp = horner_eval(xs, hs); });
       } else {
         md::ScopedTally host_scope(rs.host_ops);
-        xp = pade_eval(xs, opt.pade_denominator, hs);
+        xp = pade_eval(xs, pade_denominator, hs);
       }
       // A(t1), b(t1) for the corrector.
       launch_eval_ab<TL>(dev, m, aterms, bterms, opt.tile, [&] {
@@ -503,7 +533,7 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
 
     if (exit != core::RungExit::stagnated) break;
     // The step outran the frozen-Jacobian contraction: halve and retry.
-    if (st.halvings >= opt.max_halvings || hs * 0.5 < opt.min_step) break;
+    if (st.halvings >= max_halvings || hs * 0.5 < min_step) break;
     if (obs::current_session() != nullptr) {
       const std::int64_t hn = obs::now_ns();  // instant event: the halving
       obs::emit_span("halve step", obs::Cat::step, hn, hn, L);
@@ -547,22 +577,8 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
                       const Homotopy<md::mdreal<NH>>& h,
                       const TrackOptions& opt = {}) {
   static_assert(NH >= 1, "mdreal needs at least one limb");
-  if (opt.tile < 1 || h.dim() % opt.tile != 0)
-    throw std::invalid_argument(
-        "mdlsq: track requires a tile dividing the homotopy dimension");
-  if (opt.order < 1)
-    throw std::invalid_argument("mdlsq: track requires order >= 1");
-  // Intervals inside the stepping loop's epsilon would "converge" in zero
-  // steps with an untouched (all-zero) solution — reject them outright.
-  if (!(opt.t_end > opt.t_start + 1e-12))
-    throw std::invalid_argument(
-        "mdlsq: track requires t_end > t_start (by more than 1e-12)");
+  const std::vector<int> rungs = check_track_options(h.dim(), opt, NH);
   const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, NH) : NH;
-  if (opt.start_limbs < 1 || opt.start_limbs > maxl)
-    throw std::invalid_argument(
-        "mdlsq: track start_limbs must lie within the ladder");
-  const std::vector<int> rungs =
-      core::resolve_rungs(opt.rungs, opt.start_limbs, maxl);
 
   // A standalone call with parallelism but no shared pool owns one for
   // the track's duration (batched_tracker hands in its shared pool).
@@ -677,12 +693,12 @@ inline TrackDryResult track_dry(const device::DeviceSpec& spec, int m,
     using TL = decltype(tag);
     device::Device dev(spec, md::Precision(TL::limbs),
                        device::ExecMode::dry_run);
-    for (int s = 0; s < opt.dry_steps; ++s)
+    for (int s = 0; s < dry_steps; ++s)
       track_step_dry<TL>(dev, m, aterms, bterms, opt.order, opt.tile, 1,
                          dry_corrector_rounds + 1, dry_corrector_rounds,
                          opt.predictor);
     out.precision = md::Precision(TL::limbs);
-    out.steps = opt.dry_steps;
+    out.steps = dry_steps;
     out.analytic = dev.analytic_total();
     out.launches = dev.launches();
     out.kernel_ms = dev.kernel_ms();

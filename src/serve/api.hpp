@@ -9,9 +9,10 @@
 // Rejected submissions (admission control, service.hpp) resolve their
 // future immediately with JobStatus::rejected and a human-readable
 // reason; malformed requests (shape mismatches, tile not dividing the
-// column count) throw std::invalid_argument from submit() itself, per
-// the repo-wide validation convention — capacity is a Response, misuse
-// is an exception.
+// column count, track options track() would refuse) throw
+// std::invalid_argument from submit() itself, per the repo-wide
+// validation convention — capacity is a Response, misuse is an
+// exception.
 //
 // Every completed Response carries the job's exact device accounting —
 // the declared analytic tally, the functionally measured tally (equal by

@@ -299,9 +299,7 @@ class SolverService {
     } else if (const auto* aj = std::get_if<AdaptiveLsqJob<NH>>(&req.job)) {
       validate_lsq_shape(aj->a, aj->b, aj->opt.tile, "AdaptiveLsqJob");
     } else if (const auto* tj = std::get_if<TrackJob<NH>>(&req.job)) {
-      if (tj->opt.tile < 1 || tj->h.dim() % tj->opt.tile != 0)
-        throw std::invalid_argument(
-            "mdlsq: TrackJob tile must be >= 1 and divide the dimension");
+      path::check_track_options(tj->h.dim(), tj->opt, NH);
     }
   }
 

@@ -156,29 +156,27 @@ struct BatchReport {
                  r);
   }
 
-  // Folds one adaptive-ladder rung into the per-rung escalation rows
-  // (matched by target precision, created in first-seen order).  Raw op
-  // COUNTS are merged; dp_gflop is converted per rung BEFORE this call —
-  // see the BatchRungRow comment.
+  // Folds one adaptive-ladder rung into the per-rung escalation rows,
+  // matched by target precision; a new row is inserted at its position
+  // by precision, so the rows stay in ladder order whatever the
+  // completion order.  Raw op COUNTS are merged; dp_gflop is converted
+  // per rung BEFORE this call — see the BatchRungRow comment.
   void absorb_rung(const RungStats& s) {
-    BatchRungRow* row = nullptr;
-    for (auto& r : rungs)
-      if (r.precision == s.precision) {
-        row = &r;
-        break;
-      }
-    if (row == nullptr) {
-      rungs.push_back(BatchRungRow{});
-      row = &rungs.back();
-      row->precision = s.precision;
+    auto it = std::lower_bound(rungs.begin(), rungs.end(), s.precision,
+                               [](const BatchRungRow& r, md::Precision p) {
+                                 return r.precision < p;
+                               });
+    if (it == rungs.end() || it->precision != s.precision) {
+      it = rungs.insert(it, BatchRungRow{});
+      it->precision = s.precision;
     }
-    ++row->problems;
-    if (s.refactorized) ++row->refactorizations;
-    if (s.accepted) ++row->accepted;
-    row->refine_iterations += s.refine_iterations;
-    row->tally += s.analytic;
-    row->dp_gflop += s.dp_gflop();
-    row->kernel_ms += s.kernel_ms;
+    ++it->problems;
+    if (s.refactorized) ++it->refactorizations;
+    if (s.accepted) ++it->accepted;
+    it->refine_iterations += s.refine_iterations;
+    it->tally += s.analytic;
+    it->dp_gflop += s.dp_gflop();
+    it->kernel_ms += s.kernel_ms;
   }
 
   double dp_gflop() const noexcept { return dp_gflop_total; }

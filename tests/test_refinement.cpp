@@ -117,19 +117,15 @@ TEST(Refinement, StagnatesGracefullyWhenTooIllConditioned) {
 TEST(Refinement, FactorsAreReusableAcrossRightHandSides) {
   std::mt19937_64 gen(406);
   auto a = blas::random_matrix<mdreal<4>>(16, 16, gen);
-  auto f = core::LowPrecisionFactors<2>::factor(a);
+  blas::Matrix<mdreal<2>> al(16, 16);
+  for (int i = 0; i < 16; ++i)
+    for (int j = 0; j < 16; ++j) al(i, j) = a(i, j).to_precision<2>();
+  const auto f = core::householder_qr(al);
   for (int rhs = 0; rhs < 3; ++rhs) {
     auto want = blas::random_vector<mdreal<2>>(16, gen);
-    auto bl = blas::gemv(
-        [&] {
-          blas::Matrix<mdreal<2>> al(16, 16);
-          for (int i = 0; i < 16; ++i)
-            for (int j = 0; j < 16; ++j)
-              al(i, j) = a(i, j).to_precision<2>();
-          return al;
-        }(),
-        std::span<const mdreal<2>>(want));
-    auto x = f.solve(std::span<const mdreal<2>>(bl));
+    auto bl = blas::gemv(al, std::span<const mdreal<2>>(want));
+    auto x =
+        core::least_squares_with_factors(f, std::span<const mdreal<2>>(bl));
     for (int i = 0; i < 16; ++i)
       EXPECT_LE(std::fabs((x[i] - want[i]).to_double()),
                 1e5 * mdreal<2>::eps());

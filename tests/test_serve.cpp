@@ -470,6 +470,36 @@ TEST(ServeValidation, MalformedRequestsThrowFromSubmit) {
       << "tile must divide cols";
   EXPECT_THROW(svc.submit(lsq_request<2>(a, b, 0)), std::invalid_argument);
 
+  // A TrackJob is held to track()'s whole option contract, not just its
+  // tile: each of these would otherwise be admitted and fail on a worker.
+  const auto track_request = [](void (*edit)(path::TrackOptions&)) {
+    path::TrackOptions opt;
+    opt.tile = 4;
+    edit(opt);
+    serve::Request<2> req;
+    req.job = serve::TrackJob<2>{
+        path::rational_path_homotopy<md::dd_real>(8, 2.0, 0xbad2), opt};
+    return req;
+  };
+  EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
+                 o.order = 0;
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
+                 o.t_end = o.t_start;
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
+                 o.start_limbs = 4;
+               })),
+               std::invalid_argument)
+      << "start_limbs beyond the service's limb count";
+  EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
+                 o.rungs = {2, 1};
+               })),
+               std::invalid_argument)
+      << "rung sequence must be strictly increasing";
+
   EXPECT_EQ(svc.stats().submitted, 0) << "misuse must not consume job ids";
 }
 
@@ -511,9 +541,9 @@ TEST(ServeValidation, BatchReportAbsorbValidatesInRelease) {
 }
 
 // The service report must not depend on job completion order: device
-// rows keep their problem ids ascending and path rows stay ordered by id
-// (the ms values are exactly representable, so their sums are exact in
-// any order).
+// rows keep their problem ids ascending, path rows stay ordered by id and
+// rung rows by precision (the ms values are exactly representable, so
+// their sums are exact in any order).
 TEST(ServeReport, AbsorbOrderDoesNotChangeTheJson) {
   const auto device_row = [](int slot, int id) {
     util::BatchDeviceRow r;
@@ -532,11 +562,24 @@ TEST(ServeReport, AbsorbOrderDoesNotChangeTheJson) {
     r.kernel_ms = 0.125 * (id + 1);
     return r;
   };
+  // Adaptive jobs on different rung sequences ({2,3} and {2,4}) reach
+  // different precisions; the rung rows must come out in ladder order.
+  const auto rung_row = [](int id) {
+    util::RungStats r;
+    r.precision = md::Precision(2 + id % 3);
+    r.device_precision = md::Precision(2);
+    r.refactorized = id % 2 == 0;
+    r.accepted = id % 3 == 2;
+    r.refine_iterations = id;
+    r.kernel_ms = 0.0625 * (id + 1);
+    return r;
+  };
   const auto json_of = [&](const std::vector<int>& order) {
     util::BatchReport rep;
     for (const int id : order) {
       rep.absorb(device_row(id % 2, id));
       rep.absorb_path(path_row(id));
+      rep.absorb_rung(rung_row(id));
     }
     std::FILE* f = std::tmpfile();
     EXPECT_NE(f, nullptr);
@@ -554,6 +597,13 @@ TEST(ServeReport, AbsorbOrderDoesNotChangeTheJson) {
   EXPECT_EQ(json_of({4, 5, 3, 1, 2, 0}), in_order);
   EXPECT_NE(in_order.find("\"problems\": [0, 2, 4]"), std::string::npos)
       << in_order;
+  const auto rung_at = [&](const char* name) {
+    return in_order.find(std::string("\"precision\": \"") + name +
+                         "\", \"problems\"");
+  };
+  ASSERT_NE(rung_at("4d"), std::string::npos) << in_order;
+  EXPECT_LT(rung_at("2d"), rung_at("3d")) << in_order;
+  EXPECT_LT(rung_at("3d"), rung_at("4d")) << in_order;
 }
 
 // --- non-finite input --------------------------------------------------------

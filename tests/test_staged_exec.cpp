@@ -17,10 +17,11 @@
 //     the TRANSFER model: same analytic totals, launch counts, kernel
 //     times and wall times;
 //   * the staged factor-reusing correction solve (block Toeplitz
-//     solve_diag_on) bit-matches the host-factor solve;
+//     solve_diag_on, and core::ResidentQr on the adaptive ladder's tall
+//     least-squares factors) bit-matches the host-factor solve;
 //   * batched and path-tracker spot checks: both inherit the staged
 //     substrate transparently;
-//   * md::planes plane kernels: exact per lane, zero multiple-double
+//   * md::planes plane kernels (fill, copy): exact, zero multiple-double
 //     tally;
 //   * Staged2D/Staged1D/StagedView edge cases: 0xN shapes, complex
 //     round trips, sizeof(double) bytes, throw-on-mismatch staging and
@@ -78,7 +79,7 @@ void expect_vector_bits(const blas::Vector<T>& a, const blas::Vector<T>& b) {
 template <class T>
 struct InterleavedLsq {
   blas::Vector<T> x;
-  core::BlockedQrOutput<T> factors;
+  core::QrFactors<T> factors;
 };
 
 template <class T>
@@ -171,6 +172,35 @@ TEST(StagedExecConformance, SweepComplexOctoDouble) {
 
 // --- the staged factor-reusing correction solve -----------------------------
 
+namespace {
+
+// The adaptive ladder's shape of the resident solve: tall factors out of
+// least_squares, made resident with ResidentQr::from_host, must solve
+// limb-identically to the host reference with exact stage tallies.
+template <class T>
+void check_resident_tall_solve(int m, int c, int tile, std::uint64_t seed) {
+  SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(c));
+  std::mt19937_64 gen(seed);
+  auto a = blas::random_matrix<T>(m, c, gen);
+  auto b = blas::random_vector<T>(m, gen);
+  auto fdev = make_dev<T>(device::ExecMode::functional);
+  const core::QrFactors<T> f = core::least_squares(fdev, a, b, tile).factors;
+  const auto resident = core::ResidentQr<T>::from_host(f);
+  ASSERT_EQ(resident.rows(), m);
+  ASSERT_EQ(resident.cols(), c);
+
+  for (int trial = 0; trial < 3; ++trial) {
+    auto r = blas::random_vector<T>(m, gen);
+    auto host = core::least_squares_with_factors(f, std::span<const T>(r));
+    auto dev = make_dev<T>(device::ExecMode::functional);
+    auto staged = resident.solve_on(dev, std::span<const T>(r), tile);
+    expect_vector_bits(staged, host);
+    expect_stage_tallies_exact(dev);
+  }
+}
+
+}  // namespace
+
 TEST(StagedExec, StagedCorrectionSolveMatchesHostFactors) {
   using T = md::qd_real;
   std::mt19937_64 gen(0xc0ffee);
@@ -188,6 +218,9 @@ TEST(StagedExec, StagedCorrectionSolveMatchesHostFactors) {
     expect_vector_bits(staged, host);
     expect_stage_tallies_exact(dev);
   }
+
+  check_resident_tall_solve<md::dd_real>(24, 16, 8, 0xc0ffe1);
+  check_resident_tall_solve<md::qd_real>(32, 8, 4, 0xc0ffe2);
 }
 
 // --- batched spot check ------------------------------------------------------
@@ -242,58 +275,24 @@ TEST(StagedExec, PathTrackerInheritsStagedSubstrate) {
 
 // --- md::planes plane kernels ------------------------------------------------
 
-TEST(Planes, TwoSumMatchesScalarEftPerLane) {
-  std::mt19937_64 gen(11);
-  std::uniform_real_distribution<double> d(-1e10, 1e10);
-  std::vector<double> a(64), b(64), s(64), e(64);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = d(gen);
-    b[i] = i % 7 == 0 ? a[i] * 1e-18 : d(gen);  // mixed-magnitude lanes
-  }
-  md::OpTally t;
-  {
-    md::ScopedTally scope(t);
-    md::planes::two_sum(a, b, s, e);
-  }
-  EXPECT_EQ(t, md::planes::tally());  // empty: below Table 1 granularity
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    double sr, er;
-    md::two_sum(a[i], b[i], sr, er);
-    EXPECT_EQ(s[i], sr);
-    EXPECT_EQ(e[i], er);
-  }
-}
-
-TEST(Planes, Scale2AxpyNegateFillCopyAreExactAndTallyFree) {
+TEST(Planes, FillCopyAreExactAndTallyFree) {
   std::mt19937_64 gen(12);
   std::uniform_real_distribution<double> d(-4.0, 4.0);
-  std::vector<double> x(33), y(33), x0(33), y0(33);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x0[i] = x[i] = d(gen);
-    y0[i] = y[i] = d(gen);
-  }
+  std::vector<double> x(33), y(33);
+  for (double& v : x) v = d(gen);
   md::OpTally t;
   {
     md::ScopedTally scope(t);
-    md::planes::scale2(x, -3);
-    md::planes::axpy(1.5, x, y);
-    md::planes::negate(x);
+    md::planes::fill(y, 0.25);
+    for (double v : y) EXPECT_EQ(v, 0.25);
+    md::planes::copy(x, y);
   }
-  EXPECT_EQ(t.md_ops(), 0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(x[i], -std::ldexp(x0[i], -3));
-    EXPECT_EQ(y[i], y0[i] + 1.5 * std::ldexp(x0[i], -3));
-  }
-  md::planes::fill(y, 0.25);
-  for (double v : y) EXPECT_EQ(v, 0.25);
-  md::planes::copy(x, y);
+  EXPECT_EQ(t, md::planes::tally());  // empty: below Table 1 granularity
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
 }
 
 TEST(Planes, MismatchedSpansThrow) {
-  std::vector<double> a(4), b(5), s(4), e(4);
-  EXPECT_THROW(md::planes::two_sum(a, b, s, e), std::invalid_argument);
-  EXPECT_THROW(md::planes::axpy(1.0, b, s), std::invalid_argument);
+  std::vector<double> b(5), s(4);
   EXPECT_THROW(md::planes::copy(b, s), std::invalid_argument);
 }
 
@@ -366,32 +365,4 @@ TEST(StagedEdge, PromotedValidationThrows) {
   EXPECT_THROW(blas::gemm_adjoint_b(a, a.transposed()),
                std::invalid_argument);
   EXPECT_THROW(blas::block_range(10, 4, 7), std::invalid_argument);
-}
-
-// --- view/host accessor parity ----------------------------------------------
-
-TEST(StagedView, PanelKernelsMatchOnBothLayouts) {
-  using T = md::qd_real;
-  std::mt19937_64 gen(31);
-  const int rows = 9, cols = 6;
-  auto m = blas::random_matrix<T>(rows, cols, gen);
-  auto staged = device::Staged2D<T>::from_host(m);
-  auto host_copy = m;
-
-  auto v = blas::random_vector<T>(rows, gen);
-  blas::Vector<T> w_staged(cols), w_host(cols);
-  const md::qd_real beta(0.75);
-  blas::panel_col_dots<T>(staged.view(), std::span<const T>(v), beta,
-                          std::span<T>(w_staged), 0, cols);
-  blas::panel_col_dots<T>(blas::HostView<T>(host_copy),
-                          std::span<const T>(v), beta,
-                          std::span<T>(w_host), 0, cols);
-  expect_vector_bits(w_staged, w_host);
-
-  blas::panel_rank1_update<T>(staged.view(), std::span<const T>(v),
-                              std::span<const T>(w_staged), 0, cols);
-  blas::panel_rank1_update<T>(blas::HostView<T>(host_copy),
-                              std::span<const T>(v),
-                              std::span<const T>(w_host), 0, cols);
-  expect_matrix_bits(staged.to_host(), host_copy);
 }

@@ -254,9 +254,9 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
 }
 
 // Explicit-SIMD ablation (DESIGN.md §9): the identical sequential
-// double-double QR run twice, once with the kernel table forced to the
-// scalar fallback and once forced to `isa`.  Both runs route through the
-// same fused kernels (blas/fused_dd.hpp), so the factors must be
+// blocked QR run twice, once with the kernel table forced to the scalar
+// fallback and once forced to `isa`.  Both runs route through the same
+// fused N-limb kernels (blas/fused.hpp), so the factors must be
 // limb-identical — the dispatch bit-identity contract, re-checked here on
 // the bench shapes — and the wall ratio is the pure vector-width win the
 // CI gate floors via --min-simd-speedup.
@@ -420,11 +420,14 @@ int main(int argc, char** argv) {
   cases.push_back(layout_case<md::qd_real>(288, 8, 160, 8));
   // Explicit-SIMD ablation, one case per vector tier this host can run
   // (scalar-vs-scalar would be a tautology): forced-scalar vs forced-ISA
-  // sequential d2 QR, sized so the scalar wall clears the gate's
-  // --min-wall-ms noise floor.
+  // sequential d2, d4 and d8 QR, each sized so its scalar wall clears
+  // the gate's --min-wall-ms noise floor.
   for (md::simd::Isa isa : md::simd::supported_isas())
-    if (isa != md::simd::Isa::scalar)
+    if (isa != md::simd::Isa::scalar) {
       cases.push_back(simd_case<md::dd_real>(160, 16, isa));
+      cases.push_back(simd_case<md::qd_real>(64, 16, isa));
+      cases.push_back(simd_case<md::od_real>(48, 16, isa));
+    }
   // Tracing-is-a-pure-observer sanity: untraced vs traced sequential d2
   // QR; the binary enforces bit-identity, exact tallies and identical
   // modeled time below, like every other case (DESIGN.md §12).

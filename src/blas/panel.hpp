@@ -2,17 +2,13 @@
 // accessor interface of blas::StagedView (blas/staged_view.hpp) that the
 // task-graph bodies use on resident planes (DESIGN.md §5, §8).
 //
-// These are the bodies the blocked QR, the tiled back substitution and
-// the factor-reusing correction solves launch; each states its exact
+// These are the bodies the tiled back substitution and the
+// factor-reusing correction solves launch; each states its exact
 // multiple-double operation order, which is what makes the staged-
 // resident path limb-identical to the host reference loops and the
 // measured tallies equal to the analytic declarations at every
 // parallelism width:
 //
-//   panel_col_dots      w[c] = beta (v^H A)[:,c]   — dot reduced in
-//                       ascending row order, then one scale by beta
-//   panel_rank1_update  A[:,c] -= v w[c]           — one fms per element,
-//                       ascending row order (the Householder apply)
 //   gemv_adjoint_cols   y[j] = (A^H x)[j]          — dotc per column,
 //                       ascending row order (Q^H b, Q^H r)
 //   back_substitute_view  U x = b, one chain from the last row up, each
@@ -22,7 +18,8 @@
 //                       diagonal-tile inversion of Algorithm 1
 //
 // gemm_block (blas/gemm.hpp) stays the accessor-generic matrix-matrix
-// block kernel; views plug into it directly.
+// block kernel; views plug into it directly.  The blocked QR's panel
+// dots, rank-1 apply and WY products live in blas/fused.hpp.
 #pragma once
 
 #include <span>
@@ -33,28 +30,6 @@
 #include "blas/staged_view.hpp"
 
 namespace mdlsq::blas {
-
-// w[c] = beta * sum_i conj(v[i]) * a(i, c) for c in [c0, c1).
-template <class T, class View, class S>
-void panel_col_dots(const View& a, std::span<const T> v, const S& beta,
-                    std::span<T> w, int c0, int c1) {
-  const int rows = a.rows();
-  for (int c = c0; c < c1; ++c) {
-    T s{};
-    for (int i = 0; i < rows; ++i) s += conj_of(v[i]) * a.get(i, c);
-    w[static_cast<std::size_t>(c)] = s * beta;
-  }
-}
-
-// a(i, c) -= v[i] * w[c] for c in [c0, c1) — the Householder panel apply.
-template <class T, class View>
-void panel_rank1_update(const View& a, std::span<const T> v,
-                        std::span<const T> w, int c0, int c1) {
-  const int rows = a.rows();
-  for (int c = c0; c < c1; ++c)
-    for (int i = 0; i < rows; ++i)
-      a.set(i, c, a.get(i, c) - v[i] * w[static_cast<std::size_t>(c)]);
-}
 
 // y[j] = sum_i conj(a(i, j)) * x[i] for j in [j0, j1) — Q^H b / Q^H r.
 template <class T, class View>

@@ -17,7 +17,8 @@
 // every plane, i.e. coalesced); row_segment exposes the contiguous
 // per-plane span of a row window so structural operations (zero fills,
 // triangle extraction, staging) can run plane-contiguously through
-// md::planes instead of element-by-element.
+// md::planes instead of element-by-element; limb_planes() hands the fused
+// kernels (blas/fused.hpp) the raw window of a real scalar's planes.
 //
 // Shape arguments are validated with thrown std::invalid_argument
 // (core/'s convention); per-element indices stay asserts — they sit on
@@ -30,6 +31,7 @@
 #include <stdexcept>
 
 #include "blas/scalar.hpp"
+#include "md/simd/dispatch.hpp"
 
 namespace mdlsq::blas {
 
@@ -86,6 +88,16 @@ class StagedView {
     } else {
       for (int s = 0; s < kLimbs; ++s) d_[s * plane_ + at] = v.limb(s);
     }
+  }
+
+  // The raw limb planes of the window, for the fused kernels of
+  // blas/fused.hpp: limb s of element (i, j) at
+  // origin[s * plane + i * ld + j].  Real scalars only.
+  md::simd::Planes limb_planes() const noexcept {
+    static_assert(!traits::is_complex,
+                  "the fused kernels run on real limb planes only");
+    return {d_ + static_cast<std::size_t>(r0_) * ld_ + c0_, plane_,
+            static_cast<std::size_t>(ld_)};
   }
 
   // A sub-window, in this view's coordinates.

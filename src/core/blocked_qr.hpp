@@ -22,10 +22,12 @@
 // the whole schedule, and the factors are RETURNED resident so downstream
 // launches (Q^H b, back substitution, factor-reusing correction solves)
 // read them without a host round trip.  Kernel bodies address the planes
-// through blas::StagedView and the panel kernels of blas/panel.hpp
-// (panel_col_dots, panel_rank1_update, gemm_block), whose stated
-// operation orders keep the factors limb-identical to the host data flow
-// the staged-vs-host conformance suite rebuilds.  The host entry
+// through blas::StagedView.  The panel dots, the rank-1 apply, the WY
+// gemms and the element-wise adds go through blas/fused.hpp: for a real
+// scalar at any limb count they run the fused N-limb SIMD kernels
+// (DESIGN.md §9), for a complex one the accessor-generic bodies, both in
+// the stated operation orders.  compute W and beta,v run mdreal
+// operators at every precision.  The host entry
 // points below wrap the driver in explicit priced stage()/unstage()
 // transfers; their schedules and transfer totals are unchanged from the
 // pre-resident code (the model always priced A in and Q, R out).
@@ -40,7 +42,7 @@
 // Device's util::ThreadPool (dev.set_parallelism), with each launch a
 // join point, exactly the stream-ordered dependency structure a GPU
 // enforces between kernels.  Every output element's reduction runs
-// wholly inside one task in fixed ascending order (blas::gemm_block), so
+// wholly inside one task in fixed ascending order (blas/fused.hpp), so
 // results are bit-identical at every parallelism width, and per-task
 // tallies sum to the same declared counts.
 //
@@ -53,17 +55,14 @@
 
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "blas/fused_dd.hpp"
+#include "blas/fused.hpp"
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
-#include "blas/panel.hpp"
 #include "blas/vector_ops.hpp"
 #include "core/householder.hpp"
 #include "core/tally_rules.hpp"
@@ -151,18 +150,12 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
   // Tile tasks per launch: each task owns one contiguous output block.
   const int par = dev.parallelism();
 
-  // Real double double takes the fused SIMD fast path (blas/fused_dd.hpp,
-  // DESIGN.md §9) through the panel dots, the rank-1 apply and the WY
-  // trailing updates: the same logical md-op sequence and the same task
-  // partition, with limbs held in registers across the EFT chains and
-  // the bulk tally reported per task — measured == analytic and the
-  // bit-identity-at-every-width contract are unchanged.
-  constexpr bool kFuse = std::is_same_v<T, md::dd_real>;
-
   StagedQr<T> out;
   device::Staged2D<T>& R = out.r;
   device::Staged2D<T>& Q = out.q;
-  device::Staged2D<T> Y, W, YWT, SCR;
+  // WR holds the panel's row update w = beta (v^H R_panel); the
+  // reflector v itself is read from its column of Y.
+  device::Staged2D<T> Y, W, YWT, SCR, WR;
   if (fn) {
     if (a == nullptr || a->rows() != M || a->cols() != C)
       throw std::invalid_argument(
@@ -174,39 +167,11 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
     W = device::Staged2D<T>(M, n);
     YWT = device::Staged2D<T>(M, M);
     SCR = device::Staged2D<T>(M, M);  // scratch for QWY / YWTC
+    WR = device::Staged2D<T>(1, n);
   }
 
-  std::vector<T> v(M), w(n), u(n);
+  std::vector<T> v(M), u(n);
   std::vector<RT> betas(n);
-
-  // Fused-path plumbing: raw hi/lo limb-plane origins of the staged
-  // buffers, and planar copies of the per-column reflector and row
-  // update the panel launches consume.  Plain double stores — no md
-  // operators, no tally effect.
-  double *Rhi = nullptr, *Rlo = nullptr, *Qhi = nullptr, *Qlo = nullptr,
-         *Yhi = nullptr, *Ylo = nullptr, *Whi = nullptr, *Wlo = nullptr,
-         *Thi = nullptr, *Tlo = nullptr, *Shi = nullptr, *Slo = nullptr;
-  std::vector<double> vhi, vlo, whi, wlo;
-  if constexpr (kFuse) {
-    if (fn) {
-      Rhi = R.plane_span(0).data();
-      Rlo = R.plane_span(1).data();
-      Qhi = Q.plane_span(0).data();
-      Qlo = Q.plane_span(1).data();
-      Yhi = Y.plane_span(0).data();
-      Ylo = Y.plane_span(1).data();
-      Whi = W.plane_span(0).data();
-      Wlo = W.plane_span(1).data();
-      Thi = YWT.plane_span(0).data();
-      Tlo = YWT.plane_span(1).data();
-      Shi = SCR.plane_span(0).data();
-      Slo = SCR.plane_span(1).data();
-      vhi.resize(static_cast<std::size_t>(M));
-      vlo.resize(static_cast<std::size_t>(M));
-      whi.resize(static_cast<std::size_t>(n));
-      wlo.resize(static_cast<std::size_t>(n));
-    }
-  }
 
   for (int k = 0; k < NT; ++k) {
     const int r0 = k * n;
@@ -259,21 +224,17 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
                      }
                      R.set(cg, cg, blas::scale2(-t, e));
                      for (int i = 1; i < L; ++i) R.set(cg + i, cg, T{});
-                     if constexpr (kFuse)  // planar reflector copy for the
-                                           // fused panel launches below
-                       for (int i = 0; i < L; ++i) {
-                         vhi[static_cast<std::size_t>(i)] = v[i].limb(0);
-                         vlo[static_cast<std::size_t>(i)] = v[i].limb(1);
-                       }
                    });
       }
 
       const int P = n - l - 1;  // trailing columns within the panel
       if (P > 0) {
-        // The trailing panel R[cg:M, cg+1 : cg+1+P] the two fan-out
-        // launches below address through the panel kernels.
+        // The trailing panel R[cg:M, cg+1 : cg+1+P], the reflector (Y's
+        // column l from row cg) and the row update the two fan-out
+        // launches below address.
         const auto pan = fn ? R.view(cg, cg + 1, L, P) : blas::StagedView<T>();
-        const auto vs = std::span<const T>(v.data(), static_cast<std::size_t>(L));
+        const auto vv = fn ? Y.view(cg, l, L, 1) : blas::StagedView<T>();
+        const auto wv = fn ? WR.view(0, 0, 1, P) : blas::StagedView<T>();
         {  // (b) w = beta (v^H R_panel) — one task per column block, each
            // column's dot reduced start-to-end inside its task
           const OpTally ops =
@@ -286,18 +247,8 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
               stage::betaRTv, P, n, ops, (std::int64_t(P) * L + L + P) * esz,
               serial, blas::block_count(P, par), [&](int task) {
                 const auto blk = blas::block_range(P, par, task);
-                if constexpr (kFuse) {
-                  const std::size_t at =
-                      static_cast<std::size_t>(cg) * C + cg + 1;
-                  blas::fused::dd_panel_col_dots(
-                      Rhi + at, Rlo + at, static_cast<std::size_t>(C), L,
-                      blk.begin, blk.end, vhi.data(), vlo.data(),
-                      betas[l].limb(0), betas[l].limb(1), whi.data(),
-                      wlo.data());
-                } else {
-                  blas::panel_col_dots<T>(pan, vs, betas[l], std::span<T>(w),
-                                          blk.begin, blk.end);
-                }
+                blas::fused::col_dots<T>(pan, vv, betas[l], wv, blk.begin,
+                                         blk.end);
               });
         }
         {  // (c) R_panel -= v w — disjoint column blocks of R
@@ -308,17 +259,8 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
               (2 * std::int64_t(P) * L + L + P) * esz, serial,
               blas::block_count(P, par), [&](int task) {
                 const auto blk = blas::block_range(P, par, task);
-                if constexpr (kFuse) {
-                  const std::size_t at =
-                      static_cast<std::size_t>(cg) * C + cg + 1;
-                  blas::fused::dd_panel_rank1_update(
-                      Rhi + at, Rlo + at, static_cast<std::size_t>(C), L,
-                      blk.begin, blk.end, vhi.data(), vlo.data(), whi.data(),
-                      wlo.data());
-                } else {
-                  blas::panel_rank1_update<T>(pan, vs, std::span<const T>(w),
-                                              blk.begin, blk.end);
-                }
+                blas::fused::rank1_update<T>(pan, vv, wv, blk.begin,
+                                             blk.end);
               });
         }
       }
@@ -391,25 +333,9 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
           (2 * std::int64_t(Lk) * n + std::int64_t(Lk) * Lk) * esz,
           O::fma() * n, blas::block_count(Lk, par), [&](int task) {
             const auto blk = blas::block_range(Lk, par, task);
-            if constexpr (kFuse) {
-              const std::size_t pan = static_cast<std::size_t>(r0) * n;
-              const std::size_t act = static_cast<std::size_t>(r0) * M + r0;
-              blas::fused::dd_gemm_nt(
-                  Yhi + pan, Ylo + pan, static_cast<std::size_t>(n),
-                  Whi + pan, Wlo + pan, static_cast<std::size_t>(n),
-                  Thi + act, Tlo + act, static_cast<std::size_t>(M), 0, Lk,
-                  blk.begin, blk.end, 0, n);
-            } else {
-              blas::gemm_block<T>(
-                  0, Lk, blk.begin, blk.end, 0, n,
-                  [&](int i, int t) { return Y.get(r0 + i, t); },
-                  [&](int t, int j) {
-                    return blas::conj_of(W.get(r0 + j, t));
-                  },
-                  [&](int i, int j, const T& s) {
-                    YWT.set(r0 + i, r0 + j, s);
-                  });
-            }
+            blas::fused::gemm_nt<T>(Y.view(r0, 0, Lk, n), W.view(r0, 0, Lk, n),
+                                    YWT.view(r0, r0, Lk, Lk), 0, Lk,
+                                    blk.begin, blk.end, 0, n);
           });
     }
     {  // QWY = Q (YWT)^H — the full M-by-M product of the paper's kernel
@@ -419,19 +345,8 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
           3 * std::int64_t(M) * M * esz, O::fma() * M,
           blas::block_count(M, par), [&](int task) {
             const auto blk = blas::block_range(M, par, task);
-            if constexpr (kFuse) {
-              blas::fused::dd_gemm_nt(
-                  Qhi, Qlo, static_cast<std::size_t>(M), Thi, Tlo,
-                  static_cast<std::size_t>(M), Shi, Slo,
-                  static_cast<std::size_t>(M), blk.begin, blk.end, 0, M, 0,
-                  M);
-            } else {
-              blas::gemm_block<T>(
-                  blk.begin, blk.end, 0, M, 0, M,
-                  [&](int i, int t) { return Q.get(i, t); },
-                  [&](int t, int j) { return blas::conj_of(YWT.get(j, t)); },
-                  [&](int i, int j, const T& s) { SCR.set(i, j, s); });
-            }
+            blas::fused::gemm_nt<T>(Q.view(), YWT.view(), SCR.view(),
+                                    blk.begin, blk.end, 0, M, 0, M);
           });
     }
     {  // Q += QWY
@@ -440,16 +355,8 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
                        3 * std::int64_t(M) * M * esz, O::add(),
                        blas::block_count(M, par), [&](int task) {
                          const auto blk = blas::block_range(M, par, task);
-                         if constexpr (kFuse) {
-                           blas::fused::dd_ewise_add(
-                               Qhi, Qlo, static_cast<std::size_t>(M), Shi,
-                               Slo, static_cast<std::size_t>(M), blk.begin,
-                               blk.end, 0, M);
-                         } else {
-                           for (int i = blk.begin; i < blk.end; ++i)
-                             for (int j = 0; j < M; ++j)
-                               Q.set(i, j, Q.get(i, j) + SCR.get(i, j));
-                         }
+                         blas::fused::ewise_add<T>(Q.view(), SCR.view(),
+                                                   blk.begin, blk.end, 0, M);
                        });
     }
 
@@ -466,19 +373,9 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
             (std::int64_t(M) * M + 2 * std::int64_t(M) * tc) * esz,
             O::fma() * M, blas::block_count(tc, par), [&](int task) {
               const auto blk = blas::block_range(tc, par, task);
-              if constexpr (kFuse) {
-                blas::fused::dd_gemm_nn(
-                    Thi, Tlo, static_cast<std::size_t>(M), Rhi + ce,
-                    Rlo + ce, static_cast<std::size_t>(C), Shi, Slo,
-                    static_cast<std::size_t>(M), 0, M, blk.begin, blk.end, 0,
-                    M);
-              } else {
-                blas::gemm_block<T>(
-                    0, M, blk.begin, blk.end, 0, M,
-                    [&](int i, int t) { return YWT.get(i, t); },
-                    [&](int t, int j) { return R.get(t, ce + j); },
-                    [&](int i, int j, const T& s) { SCR.set(i, j, s); });
-              }
+              blas::fused::gemm_nn<T>(YWT.view(), R.view(0, ce, M, tc),
+                                      SCR.view(), 0, M, blk.begin, blk.end,
+                                      0, M);
             });
       }
       {  // R += YWTC
@@ -488,15 +385,8 @@ StagedQr<T> blocked_qr_staged_run(device::Device& dev,
             3 * std::int64_t(M) * tc * esz, O::add(),
             blas::block_count(tc, par), [&](int task) {
               const auto blk = blas::block_range(tc, par, task);
-              if constexpr (kFuse) {
-                blas::fused::dd_ewise_add(
-                    Rhi + ce, Rlo + ce, static_cast<std::size_t>(C), Shi, Slo,
-                    static_cast<std::size_t>(M), 0, M, blk.begin, blk.end);
-              } else {
-                for (int i = 0; i < M; ++i)
-                  for (int j = blk.begin; j < blk.end; ++j)
-                    R.set(i, ce + j, R.get(i, ce + j) + SCR.get(i, j));
-              }
+              blas::fused::ewise_add<T>(R.view(0, ce, M, tc), SCR.view(), 0,
+                                        M, blk.begin, blk.end);
             });
       }
     }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "md/mdreal.hpp"
+#include "md/simd/dispatch.hpp"
 
 namespace mdlsq::core {
 
@@ -51,9 +52,18 @@ struct LimbList {
 };
 
 // The engine's instantiation list.  Adding a count here is the whole
-// story: the ladder, tracker, batched driver, cost model and name table
-// all accept it immediately (cost_table/name_of are total over N >= 1).
+// story once the fused kernel family is compiled for it too
+// (md::simd::kFusedLimbs, checked below): the ladder, tracker, batched
+// driver, cost model and name table all accept it immediately
+// (cost_table/name_of are total over N >= 1).
 using SupportedLimbs = LimbList<1, 2, 3, 4, 5, 6, 8, 16>;
+
+template <int... Ns>
+constexpr bool fused_for_all(LimbList<Ns...>) noexcept {
+  return (md::simd::fused_limbs(Ns) && ...);
+}
+static_assert(fused_for_all(SupportedLimbs{}),
+              "every supported limb count needs the fused QR kernels");
 
 // Dispatch a callable templated on mdreal<L> over a runtime limb count.
 // Throws std::invalid_argument when `limbs` is not in SupportedLimbs.

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/panel.hpp"
 #include "core/back_substitution.hpp"
 #include "core/blocked_qr.hpp"
 #include "core/householder.hpp"

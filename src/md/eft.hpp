@@ -41,7 +41,7 @@ inline void quick_two_sum(double a, double b, double& s, double& e) noexcept {
 // subnormal range (|a|, |b| < 2^996 and |a*b| >= 2^-1021 suffices) —
 // the renormalized limbs of mdreal arithmetic live far inside that
 // range.  Batched kernels never take this scalar path at all: the
-// dispatched SIMD layer (md/simd/, the fused double-double kernels)
+// dispatched SIMD layer (md/simd/, the fused multiple-double kernels)
 // always uses a true fused multiply-add, which is why ITS paths are
 // bit-identical across ISAs on the full double range including
 // subnormals.

@@ -203,7 +203,7 @@ inline void count_sqrt() noexcept { if (tally_hook) ++tally_hook->sqrt; }
 
 // Bulk report of a kernel that executed `t` multiple-double operations
 // without routing them through the counting operators — the fused SIMD
-// kernels (blas/fused_dd.hpp), which perform the same logical md-op
+// kernels (blas/fused.hpp), which perform the same logical md-op
 // sequence as the accessor-generic bodies but keep limbs in registers.
 inline void count_bulk(const OpTally& t) noexcept {
   if (tally_hook) *tally_hook += t;

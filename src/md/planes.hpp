@@ -17,9 +17,9 @@
 // executes (and reports itself to the thread-local tally as everywhere
 // else), and the result limbs are scattered back — see
 // blas/staged_view.hpp and the panel kernels of blas/panel.hpp.  The
-// double-double hot path additionally has fused SIMD bodies
-// (blas/fused_dd.hpp) that keep limbs in registers across whole EFT
-// chains.
+// blocked QR's hot stages additionally have fused SIMD bodies at every
+// real limb count (blas/fused.hpp) that keep limbs in registers across
+// whole EFT chains.
 #pragma once
 
 #include <cstring>

@@ -1,4 +1,4 @@
-// Runtime ISA dispatch for the fused double-double kernels (DESIGN.md
+// Runtime ISA dispatch for the fused multiple-double kernels (DESIGN.md
 // §9).
 //
 // The shipped binary is compiled for the baseline architecture; the wide
@@ -35,38 +35,70 @@ constexpr const char* name_of(Isa i) noexcept {
   return "?";
 }
 
-// One fully-bound kernel set: the fused double-double (2-limb)
-// panel/update bodies over separate hi/lo limb planes addressed with a
-// leading dimension (row stride in doubles).  All index ranges are
-// half-open.  The fused kernels execute NO md operators and touch NO
-// tally: callers report the bulk op count (blas/fused_dd.hpp).
+// The limb counts the fused family is compiled for: one kernel set per
+// count, in every table.  core/limb_dispatch.hpp static_asserts that the
+// engine's instantiation list (core::SupportedLimbs) names no count
+// outside it, so a real blocked QR at any supported precision has its
+// fused kernels.
+inline constexpr int kFusedLimbs[] = {1, 2, 3, 4, 5, 6, 8, 16};
+inline constexpr int kMaxFusedLimbs = 16;
+
+constexpr bool fused_limbs(int n) noexcept {
+  for (int k : kFusedLimbs)
+    if (k == n) return true;
+  return false;
+}
+
+// A window of limb-planar storage (device::Staged2D's layout): limb s of
+// element (i, j) sits at origin[s * plane + i * ld + j].  A column
+// vector is a one-column window (element t at row t), a row vector a
+// one-row window (element c at column c).
+template <class D>
+struct PlanesOf {
+  D* origin = nullptr;
+  std::size_t plane = 0;  // doubles between consecutive limb planes
+  std::size_t ld = 0;     // doubles between consecutive rows
+
+  D* at(int s, int i, int j) const noexcept {
+    return origin + std::size_t(s) * plane + std::size_t(i) * ld +
+           std::size_t(j);
+  }
+  operator PlanesOf<const D>() const noexcept { return {origin, plane, ld}; }
+};
+using Planes = PlanesOf<double>;
+using CPlanes = PlanesOf<const double>;
+
+// One fully-bound kernel set for one limb count N: the fused N-limb
+// panel/update bodies of the blocked QR over limb planes.  All index
+// ranges are half-open.  The fused kernels execute NO md operators and
+// touch NO tally: callers report the bulk op count (blas/fused.hpp).
+struct LimbKernels {
+  // w(0, c) = (sum_t v(t, 0) * a(t, c)) * beta for c in [c0, c1), dots in
+  // ascending t order; beta is N contiguous limbs.
+  void (*col_dots)(CPlanes a, int rows, int c0, int c1, CPlanes v,
+                   const double* beta, Planes w) = nullptr;
+  // a(t, c) -= v(t, 0) * w(0, c) for c in [c0, c1) — the Householder
+  // apply.
+  void (*rank1)(Planes a, int rows, int c0, int c1, CPlanes v,
+                CPlanes w) = nullptr;
+  // c(i, j) = sum_t a(i, t) * b(j, t) (b transposed), ascending t.
+  void (*gemm_nt)(CPlanes a, CPlanes b, Planes c, int i0, int i1, int j0,
+                  int j1, int t0, int t1) = nullptr;
+  // c(i, j) = sum_t a(i, t) * b(t, j), ascending t.
+  void (*gemm_nn)(CPlanes a, CPlanes b, Planes c, int i0, int i1, int j0,
+                  int j1, int t0, int t1) = nullptr;
+  // c(i, j) += s(i, j) over the window [i0,i1) x [j0,j1).
+  void (*ewise_add)(Planes c, CPlanes s, int i0, int i1, int j0,
+                    int j1) = nullptr;
+};
+
+// One ISA's table: a LimbKernels set per count of kFusedLimbs (the
+// other slots stay null).
 struct KernelTable {
   Isa isa = Isa::scalar;
+  LimbKernels by_limbs[kMaxFusedLimbs + 1] = {};
 
-  // w[c] = (sum_t v[t] * A[t][c]) * beta for c in [c0, c1), dots in
-  // ascending t order; A[t][c] at {a}hi/lo[t*lda + c].
-  void (*dd_col_dots)(const double* ahi, const double* alo, std::size_t lda,
-                      int rows, int c0, int c1, const double* vhi,
-                      const double* vlo, double bhi, double blo, double* whi,
-                      double* wlo) = nullptr;
-  // A[t][c] -= v[t] * w[c] for c in [c0, c1) — the Householder apply.
-  void (*dd_rank1)(double* ahi, double* alo, std::size_t lda, int rows,
-                   int c0, int c1, const double* vhi, const double* vlo,
-                   const double* whi, const double* wlo) = nullptr;
-  // C[i][j] = sum_t A[i][t] * B[j][t] (B transposed), ascending t.
-  void (*dd_gemm_nt)(const double* ahi, const double* alo, std::size_t lda,
-                     const double* bhi, const double* blo, std::size_t ldb,
-                     double* chi, double* clo, std::size_t ldc, int i0,
-                     int i1, int j0, int j1, int t0, int t1) = nullptr;
-  // C[i][j] = sum_t A[i][t] * B[t][j], ascending t.
-  void (*dd_gemm_nn)(const double* ahi, const double* alo, std::size_t lda,
-                     const double* bhi, const double* blo, std::size_t ldb,
-                     double* chi, double* clo, std::size_t ldc, int i0,
-                     int i1, int j0, int j1, int t0, int t1) = nullptr;
-  // C[i][j] += S[i][j] over the window [i0,i1) x [j0,j1).
-  void (*dd_ewise_add)(double* chi, double* clo, std::size_t ldc,
-                       const double* shi, const double* slo, std::size_t lds,
-                       int i0, int i1, int j0, int j1) = nullptr;
+  const LimbKernels& limbs(int n) const noexcept { return by_limbs[n]; }
 };
 
 // The active table: the forced one if a force is live, otherwise the

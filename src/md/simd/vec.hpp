@@ -1,16 +1,22 @@
 // Width-templated IEEE-754 vector backends for the dispatched fused
-// double-double kernels (DESIGN.md §9).
+// multiple-double kernels (DESIGN.md §9).
 //
-// Each backend exposes the same tiny algebra — load/store, broadcast,
-// strided gather, add/sub/mul, correctly-rounded fma, exact negation —
-// over a register of V::width doubles.  Every operation is ELEMENTWISE
+// Each backend names the next narrower backend (`tail`) the kernels hand
+// their leftover columns to, ending at VScalar, and exposes the same tiny
+// algebra — load/store, broadcast,
+// strided gather, add/sub/mul, correctly-rounded fma, exact negation,
+// and the exact per-lane zero test and select the N-limb renormalization
+// skips zero terms with — over a register of V::width doubles.  Every
+// operation is ELEMENTWISE
 // and IEEE-correctly-rounded, which is the whole bit-identity argument:
 // a lane of a vector op computes exactly what the scalar op computes on
 // that lane's element, so the same per-element operation sequence yields
 // the same bits at every width.  Nothing here may introduce a
 // value-changing shortcut (no reciprocal approximations, no FTZ/DAZ, no
 // reassociation); negation is a sign-bit flip (xor), NOT 0 - x, so the
-// sign of zero survives.
+// sign of zero survives.  nonzero() is the unordered x != 0 of C++ (a NaN
+// lane counts as nonzero, -0.0 as zero) and select() moves whole lanes,
+// so neither rounds anything.
 //
 // This header is included by per-ISA translation units that CMake
 // compiles with the matching target flags (-mavx2 -mfma, -mavx512f,
@@ -42,6 +48,7 @@ namespace mdlsq::md::simd {
 struct VScalar {
   static constexpr int width = 1;
   using reg = double;
+  using tail = VScalar;  // the next narrower backend (none below scalar)
   static reg load(const double* p) noexcept { return *p; }
   static void store(double* p, reg v) noexcept { *p = v; }
   static reg set1(double x) noexcept { return x; }
@@ -51,12 +58,16 @@ struct VScalar {
   static reg mul(reg a, reg b) noexcept { return a * b; }
   static reg fma(reg a, reg b, reg c) noexcept { return std::fma(a, b, c); }
   static reg neg(reg a) noexcept { return -a; }  // sign flip, exact
+  using mask = bool;
+  static mask nonzero(reg a) noexcept { return a != 0.0; }
+  static reg select(mask m, reg a, reg b) noexcept { return m ? a : b; }
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
 struct VAvx2 {
   static constexpr int width = 4;
   using reg = __m256d;
+  using tail = VScalar;
   static reg load(const double* p) noexcept { return _mm256_loadu_pd(p); }
   static void store(double* p, reg v) noexcept { _mm256_storeu_pd(p, v); }
   static reg set1(double x) noexcept { return _mm256_set1_pd(x); }
@@ -72,6 +83,13 @@ struct VAvx2 {
   static reg neg(reg a) noexcept {
     return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
   }
+  using mask = __m256d;
+  static mask nonzero(reg a) noexcept {
+    return _mm256_cmp_pd(a, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+  }
+  static reg select(mask m, reg a, reg b) noexcept {
+    return _mm256_blendv_pd(b, a, m);
+  }
 };
 #endif
 
@@ -79,6 +97,7 @@ struct VAvx2 {
 struct VAvx512 {
   static constexpr int width = 8;
   using reg = __m512d;
+  using tail = VAvx2;  // -mavx512f -mfma also enables AVX2 + FMA
   static reg load(const double* p) noexcept { return _mm512_loadu_pd(p); }
   static void store(double* p, reg v) noexcept { _mm512_storeu_pd(p, v); }
   static reg set1(double x) noexcept { return _mm512_set1_pd(x); }
@@ -97,6 +116,13 @@ struct VAvx512 {
         _mm512_castpd_si512(a),
         _mm512_castpd_si512(_mm512_set1_pd(-0.0))));
   }
+  using mask = __mmask8;
+  static mask nonzero(reg a) noexcept {
+    return _mm512_cmp_pd_mask(a, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+  }
+  static reg select(mask m, reg a, reg b) noexcept {
+    return _mm512_mask_blend_pd(m, b, a);
+  }
 };
 #endif
 
@@ -104,6 +130,7 @@ struct VAvx512 {
 struct VNeon {
   static constexpr int width = 2;
   using reg = float64x2_t;
+  using tail = VScalar;
   static reg load(const double* p) noexcept { return vld1q_f64(p); }
   static void store(double* p, reg v) noexcept { vst1q_f64(p, v); }
   static reg set1(double x) noexcept { return vdupq_n_f64(x); }
@@ -115,6 +142,14 @@ struct VNeon {
   static reg mul(reg a, reg b) noexcept { return vmulq_f64(a, b); }
   static reg fma(reg a, reg b, reg c) noexcept { return vfmaq_f64(c, a, b); }
   static reg neg(reg a) noexcept { return vnegq_f64(a); }
+  using mask = uint64x2_t;
+  static mask nonzero(reg a) noexcept {  // NOT (a == 0): NaN is nonzero
+    return vreinterpretq_u64_u32(
+        vmvnq_u32(vreinterpretq_u32_u64(vceqzq_f64(a))));
+  }
+  static reg select(mask m, reg a, reg b) noexcept {
+    return vbslq_f64(m, a, b);
+  }
 };
 #endif
 

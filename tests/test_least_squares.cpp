@@ -3,10 +3,12 @@
 // harness — seeded shape sweeps with the normal-equations optimality
 // oracle A^H (b - A x) = 0, host-baseline agreement, tally exactness and
 // dry-run equivalence replace the fixed dimensions this file used to
-// enumerate — plus the QR-vs-BS time split of Table 11 and the shape
-// contract every solver entry point enforces in Release builds.
+// enumerate — plus the QR-vs-BS time split of Table 11, the shape
+// contract every solver entry point enforces in Release builds, and the
+// non-finite contract (NaN/Inf in, non-finite x out).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <tuple>
@@ -16,6 +18,7 @@
 #include "blas/norms.hpp"
 #include "core/back_substitution.hpp"
 #include "core/least_squares.hpp"
+#include "md/simd/dispatch.hpp"
 #include "support/conformance.hpp"
 #include "support/test_support.hpp"
 
@@ -214,4 +217,57 @@ TEST(ShapeContract, TiledBackSubRejectsBadShapesBeforeAnyLaunch) {
         device::ExecMode::dry_run, [tiles, size](device::Device& dev) {
           core::tiled_back_sub_dry<ShapeT>(dev, tiles, size);
         });
+}
+
+// The non-finite contract of least_squares in the default Release build:
+// a NaN or an Inf anywhere in A or b never yields a finite answer — some
+// entry of x is non-finite.  Pinned at d1, d2, d3, d4 and d8 under every
+// compiled kernel table, because the fused kernels' fixed-sequence
+// two_sum turns an Inf into a NaN rather than carrying it.
+namespace {
+
+template <int N>
+void expect_nonfinite_in_nonfinite_out() {
+  using T = md::mdreal<N>;
+  const int M = 12, C = 8, tile = 4;
+  std::mt19937_64 gen(0xBAD0 + N);
+  const auto a = blas::random_matrix<T>(M, C, gen);
+  const auto b = blas::random_vector<T>(M, gen);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  // (row, column) of the poisoned entry; column -1 poisons b instead.
+  const std::pair<int, int> where[] = {{0, 0},      {M - 1, C - 1}, {5, 3},
+                                       {C - 1, 0},  {0, -1},        {M - 1, -1},
+                                       {C - 1, -1}};
+  for (md::simd::Isa isa : md::simd::supported_isas()) {
+    ASSERT_TRUE(md::simd::force_isa(isa));
+    for (double bad : specials)
+      for (const auto& [i, j] : where) {
+        auto pa = a;
+        auto pb = b;
+        if (j < 0)
+          pb[static_cast<std::size_t>(i)] = T(bad);
+        else
+          pa(i, j) = T(bad);
+        auto dev = make_dev<T>(device::ExecMode::functional);
+        const auto x = core::least_squares(dev, pa, pb, tile).x;
+        bool nonfinite = false;
+        for (const auto& v : x) nonfinite |= !v.isfinite();
+        EXPECT_TRUE(nonfinite)
+            << "d" << N << " " << bad << " at (" << i << "," << j << ") on "
+            << md::simd::name_of(isa) << " gave a finite x";
+      }
+  }
+  md::simd::clear_forced();
+}
+
+}  // namespace
+
+TEST(NonFiniteContract, NanOrInfAnywhereInAOrBGivesNonFiniteX) {
+  expect_nonfinite_in_nonfinite_out<1>();
+  expect_nonfinite_in_nonfinite_out<2>();
+  expect_nonfinite_in_nonfinite_out<3>();
+  expect_nonfinite_in_nonfinite_out<4>();
+  expect_nonfinite_in_nonfinite_out<8>();
 }

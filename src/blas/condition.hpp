@@ -22,11 +22,16 @@
 // itself is dominated by rounding noise and the estimate saturates around
 // 1/eps; that is exactly the regime where the ladder must escalate, so a
 // saturated (huge) answer still drives the right decision.
+//
+// The estimator is view-generic: it reads R through get(i, j), so the
+// drivers estimate on a resident triangle's blas::StagedView without
+// unstaging it, and a host blas::Matrix gives the same bits and tally.
 #pragma once
 
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "blas/matrix.hpp"
 #include "blas/scalar.hpp"
@@ -56,8 +61,9 @@ constexpr md::OpTally tri_condition_ops(int n) noexcept {
 // Condition estimate of the leading n-by-n upper triangular block of r.
 // Real scalars only: the adaptive ladder runs on mdreal problems, and a
 // complex variant would need |z| square roots with data-dependent cost.
-template <class T>
-TriCondEstimate tri_condition_inf(const Matrix<T>& r, int n) {
+template <class View>
+TriCondEstimate tri_condition_inf(const View& r, int n) {
+  using T = std::remove_cvref_t<decltype(r.get(0, 0))>;
   static_assert(!is_complex_v<T>,
                 "tri_condition_inf estimates real triangular factors");
   if (n < 1 || r.rows() < n || r.cols() < n)
@@ -72,14 +78,14 @@ TriCondEstimate tri_condition_inf(const Matrix<T>& r, int n) {
   // rank-deficient input too.  Every arithmetic operator counts before
   // its non-finite shortcut.
   for (int i = 0; i < n; ++i)
-    if (est.zero_pivot < 0 && r(i, i).is_zero()) est.zero_pivot = i;
+    if (est.zero_pivot < 0 && r.get(i, i).is_zero()) est.zero_pivot = i;
 
   // ||R||_inf: max row sum of absolutes (abs and compares are free of
   // multiple-double operations; the adds are counted).
   T rowmax{};
   for (int i = 0; i < n; ++i) {
-    T s = abs_of(r(i, i));
-    for (int j = i + 1; j < n; ++j) s += abs_of(r(i, j));
+    T s = abs_of(r.get(i, i));
+    for (int j = i + 1; j < n; ++j) s += abs_of(r.get(i, j));
     if (rowmax < s) rowmax = s;
   }
   est.norm = rowmax.to_double();
@@ -88,17 +94,17 @@ TriCondEstimate tri_condition_inf(const Matrix<T>& r, int n) {
   Vector<T> z(n);
   for (int i = 0; i < n; ++i) {
     T s{};
-    for (int j = 0; j < i; ++j) s += r(j, i) * z[j];
+    for (int j = 0; j < i; ++j) s += r.get(j, i) * z[j];
     const double d = s.is_negative() ? 1.0 : -1.0;
-    z[i] = (T(d) - s) / r(i, i);
+    z[i] = (T(d) - s) / r.get(i, i);
   }
 
   // Phase 2: R y = z.
   Vector<T> y(n);
   for (int i = n - 1; i >= 0; --i) {
     T s = z[i];
-    for (int j = i + 1; j < n; ++j) s -= r(i, j) * y[j];
-    y[i] = s / r(i, i);
+    for (int j = i + 1; j < n; ++j) s -= r.get(i, j) * y[j];
+    y[i] = s / r.get(i, i);
   }
 
   double zmax = 0.0, ymax = 0.0;

@@ -34,6 +34,8 @@ class Matrix {
     assert(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return a_[size_t(i) * cols_ + j];
   }
+  // The accessor the view-generic kernels read (blas::StagedView::get).
+  const T& get(int i, int j) const noexcept { return (*this)(i, j); }
 
   static Matrix identity(int n) {
     Matrix m(n, n);

@@ -14,10 +14,12 @@
 //   1. Factors.  If no QR factors exist yet, the previous rung's factors
 //      stagnated, or the refinement contraction rate
 //      cond_estimate * eps(factor precision) exceeds 1e-2
-//      (must_refactor), the rung REFACTORIZES: the device pipeline
-//      (blocked QR + Q^H b + tiled back substitution) runs at precision p
-//      and a triangular condition estimate (blas/condition.hpp) is
-//      launched against the fresh R factor.  Otherwise the rung REFINES:
+//      (must_refactor), the rung REFACTORIZES: the resident device
+//      pipeline (blocked QR + Q^H b + tiled back substitution,
+//      least_squares_resident_run) runs at precision p, its factors stay
+//      resident as a ResidentQr, and a triangular condition estimate
+//      (blas/condition.hpp) is launched against the resident R triangle.
+//      Only x returns to the host.  Otherwise the rung REFINES:
 //      the existing lower-precision factors are reused and escalation
 //      costs refinement iterations, not a refactorization.
 //   2. Polish.  Iterative refinement with residuals at the rung precision
@@ -218,8 +220,8 @@ struct AdaptiveState {
     return std::get<LadderFactors<L>>(factors);
   }
   template <int L>
-  void set_factors(const QrFactors<md::mdreal<L>>& f) {
-    factors.template emplace<LadderFactors<L>>(LadderFactors<L>::from_host(f));
+  void set_factors(LadderFactors<L>&& f) {
+    factors.template emplace<LadderFactors<L>>(std::move(f));
     factor_limbs = L;
     factors_stagnated = false;
   }
@@ -296,14 +298,18 @@ RungExit run_rung(const device::DeviceSpec& spec,
   dev.set_parallelism(opt.tile_pool, opt.parallelism);
   rs.device_precision = md::Precision(dev_limbs);
   if (refactor) {
-    auto sol = least_squares(dev, ap, bp, opt.tile);
+    auto sol = least_squares_resident_run<md::mdreal<P>>(dev, &ap, &bp,
+                                                         ap.rows(), c,
+                                                         opt.tile);
+    auto f = LadderFactors<P>::from_staged(std::move(sol.factors), c);
     blas::TriCondEstimate est;
-    launch_cond_est(dev, c, opt.tile, 8 * std::int64_t(P),
-                    [&] { est = blas::tri_condition_inf(sol.factors.r, c); });
+    launch_cond_est(dev, c, opt.tile, 8 * std::int64_t(P), [&] {
+      est = blas::tri_condition_inf(f.rtop.view(), c);
+    });
     st.cond_est = est.cond;
     for (int j = 0; j < c; ++j)
       st.x[j] = sol.x[j].template to_precision<NH>();
-    st.template set_factors<P>(sol.factors);
+    st.template set_factors<P>(std::move(f));
     rs.refactorized = true;
   }
   rs.cond_estimate = st.cond_est;
@@ -444,7 +450,8 @@ AdaptiveDryResult adaptive_least_squares_dry(const device::DeviceSpec& spec,
     {  // the starting rung factorizes
       device::Device dev(spec, md::Precision(TS::limbs),
                          device::ExecMode::dry_run);
-      least_squares_dry<TS>(dev, rows, cols, opt.tile);
+      least_squares_resident_run<TS>(dev, nullptr, nullptr, rows, cols,
+                                     opt.tile);
       detail::launch_cond_est(dev, cols, opt.tile, 8 * std::int64_t(TS::limbs),
                               [] {});
       util::RungStats rs;

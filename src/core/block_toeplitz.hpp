@@ -14,20 +14,18 @@
 // the convolution accumulates with the order, which is exactly the error
 // amplification that motivates multiple double precision in the paper.
 //
-// Two execution paths:
-//   * host — the original reference solver (householder_qr + host loops),
-//     real or complex, used by the tests and the host baselines;
-//   * device — the factorization runs through the blocked pipeline of
-//     core/blocked_qr.hpp and every series order issues priced launches
-//     (a tiled convolution update plus the factor-reusing correction
-//     solve of core/refinement.hpp), so the path tracker's schedule is
-//     walked identically in functional and dry-run modes.
-//
-// The factors are cached twice: on the host (factors(), the reference
-// solve_diag) and resident (one core::ResidentQr, every device-priced
-// diagonal solve), so a Newton corrector can keep refining against them
-// instead of refactorizing per step — the tracker's escalation currency
-// (src/path/tracker.hpp).
+// The factorization runs through the blocked pipeline of
+// core/blocked_qr.hpp on a functional device, and every series order
+// issues priced launches (a tiled convolution update plus the
+// factor-reusing correction solve of core/refinement.hpp), so the path
+// tracker's schedule is walked identically in functional and dry-run
+// modes.  The factors stay resident as one core::ResidentQr, which every
+// diagonal solve and the tracker's condition estimate read in place, so
+// a Newton corrector can keep refining against them instead of
+// refactorizing per step — the tracker's escalation currency
+// (src/path/tracker.hpp).  No factor returns to the host: the transfers
+// priced are the diagonal block in, and per diagonal solve the residual
+// in and the correction out.
 //
 // Input validation follows the thrown-error convention of core/: invalid
 // shapes raise std::invalid_argument (asserts would vanish under NDEBUG
@@ -41,9 +39,7 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
-#include "core/back_substitution.hpp"
 #include "core/blocked_qr.hpp"
-#include "core/householder.hpp"
 #include "core/refinement.hpp"
 
 namespace mdlsq::core {
@@ -55,25 +51,13 @@ inline constexpr const char* toeplitz_conv = "toeplitz conv";
 template <class T>
 class BlockToeplitzSolver {
  public:
-  // blocks[j] is T_j (all m-by-m); blocks[0] must be nonsingular.
-  // Host factorization (reference path).
-  explicit BlockToeplitzSolver(std::vector<blas::Matrix<T>> blocks)
-      : blocks_(std::move(blocks)) {
-    validate_blocks();
-    qr_ = householder_qr(blocks_[0]);
-    // A structural staging copy, like the band blocks: no transfer is
-    // priced.
-    resident_ = ResidentQr<T>::from_host(qr_);
-    build_staged_blocks();
-  }
-
-  // Device-priced factorization: T_0 is staged (explicit priced
-  // transfer) and goes through the staged-resident blocked QR pipeline
-  // on `dev` (functional mode), so the O(m^3) step is launched, tallied
-  // and timed like every other kernel; the factors are unstaged for the
-  // host reference path AND kept device-resident, so every later
-  // factor-reusing solve reads staged storage (DESIGN.md §8).  `tile`
-  // must divide the block dimension (the pipeline's tiling contract).
+  // blocks[j] is T_j (all m-by-m); blocks[0] must be nonsingular.  T_0
+  // is staged (explicit priced transfer) and goes through the
+  // staged-resident blocked QR pipeline on `dev` (functional mode), so
+  // the O(m^3) step is launched, tallied and timed like every other
+  // kernel; the factors it leaves resident are kept as they are
+  // (DESIGN.md §8).  `tile` must divide the block dimension (the
+  // pipeline's tiling contract).
   BlockToeplitzSolver(device::Device& dev, std::vector<blas::Matrix<T>> blocks,
                       int tile)
       : blocks_(std::move(blocks)) {
@@ -85,60 +69,30 @@ class BlockToeplitzSolver {
     validate_tile(block_dim(), tile);
     const int m = block_dim();
     auto sa = dev.stage(blocks_[0]);
-    StagedQr<T> f = blocked_qr_staged_run<T>(dev, &sa, m, m, tile);
-    qr_ = QrFactors<T>{dev.unstage(f.q), dev.unstage(f.r)};
-    // The factors are ALREADY resident: keep them instead of re-staging
-    // the just-unstaged host matrices.
-    resident_ = ResidentQr<T>::from_staged(std::move(f), m);
+    resident_ = ResidentQr<T>::from_staged(
+        blocked_qr_staged_run<T>(dev, &sa, m, m, tile), m);
     build_staged_blocks();
   }
 
-  // Dry-run price of the device factorization for an m-by-m diagonal block.
+  // Dry-run price of the factorization for an m-by-m diagonal block:
+  // T_0 in, then the blocked QR's launches.
   static void factor_dry(device::Device& dev, int m, int tile) {
     validate_tile(m, tile);
-    blocked_qr_dry<T>(dev, m, m, tile);
+    dev.price_staging<T>(m, m);
+    blocked_qr_staged_run<T>(dev, nullptr, m, m, tile);
   }
 
   int block_dim() const noexcept { return blocks_[0].rows(); }
   int bandwidth() const noexcept { return static_cast<int>(blocks_.size()); }
-  const std::vector<blas::Matrix<T>>& blocks() const noexcept {
-    return blocks_;
-  }
 
-  // The cached host factorization of T_0 (the path tracker's condition
-  // estimate reads its R).
-  const QrFactors<T>& factors() const noexcept { return qr_; }
-
-  // Solves for the series coefficients x_0..x_K given rhs b_0..b_K
-  // (K + 1 = rhs.size(); blocks beyond the stored bandwidth are zero).
-  std::vector<blas::Vector<T>> solve(
-      const std::vector<blas::Vector<T>>& rhs) const {
-    validate_rhs(rhs);
-    const int m = block_dim();
-    std::vector<blas::Vector<T>> x;
-    x.reserve(rhs.size());
-    for (std::size_t k = 0; k < rhs.size(); ++k) {
-      blas::Vector<T> r = rhs[k];
-      // Convolution update: r -= sum_{j=1..min(k,band-1)} T_j x_{k-j}.
-      for (std::size_t j = 1; j < blocks_.size() && j <= k; ++j) {
-        auto t = blas::gemv(blocks_[j], std::span<const T>(x[k - j]));
-        for (int i = 0; i < m; ++i) r[i] -= t[i];
-      }
-      x.push_back(solve_diag(r));
-    }
-    return x;
-  }
-
-  // One triangular solve with the cached factorization of T_0.
-  blas::Vector<T> solve_diag(const blas::Vector<T>& r) const {
-    validate_rhs_length(r.size());
-    return least_squares_with_factors(qr_, std::span<const T>(r));
-  }
+  // The resident factors of T_0 (the path tracker's condition estimate
+  // reads their triangle).
+  const ResidentQr<T>& resident() const noexcept { return resident_; }
 
   // Device-priced diagonal solve on the cached factors: the factor-
   // reusing correction solve of core/refinement.hpp on the resident
-  // factors (limb-identical to solve_diag; the staged conformance suite
-  // pins it).
+  // factors (limb-identical to least_squares_with_factors on the same
+  // factors on the host; the staged conformance suite pins it).
   blas::Vector<T> solve_diag_on(device::Device& dev, std::span<const T> r,
                                 int tile) const {
     validate_rhs_length(r.size());
@@ -269,7 +223,6 @@ class BlockToeplitzSolver {
   }
 
   std::vector<blas::Matrix<T>> blocks_;
-  QrFactors<T> qr_;
   ResidentQr<T> resident_;
   std::vector<device::Staged2D<T>> staged_blocks_;
 };

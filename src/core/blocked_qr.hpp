@@ -426,22 +426,6 @@ QrFactors<T> blocked_qr(device::Device& dev, const blas::Matrix<T>& a,
   return blocked_qr_run<T>(dev, &a, a.rows(), a.cols(), tile);
 }
 
-// Staged-resident entry point: factor an already-staged matrix (consumed)
-// and keep the factors resident — the caller owns the stage()/unstage()
-// transfer pricing.  Functional mode only.
-template <class T>
-StagedQr<T> blocked_qr_staged(device::Device& dev, device::Staged2D<T>&& a,
-                              int tile) {
-  if (!dev.functional())
-    throw std::invalid_argument(
-        "mdlsq: blocked_qr_staged needs a functional device (price dry "
-        "schedules with blocked_qr_dry)");
-  const int M = a.rows(), C = a.cols();
-  check_qr_shape("blocked_qr_staged", M, C, tile);
-  device::Staged2D<T> local = std::move(a);
-  return blocked_qr_staged_run<T>(dev, &local, M, C, tile);
-}
-
 // Dry-run entry point: walk and price the schedule for given dimensions.
 template <class T>
 void blocked_qr_dry(device::Device& dev, int rows, int cols, int tile) {

@@ -9,10 +9,10 @@
 // Q^H b launch reads the resident Q, the leading triangle of the resident
 // R is copied plane-contiguously into the back-substitution operand (a
 // device-side structural copy — no multiple-double operations, no
-// transfer), and only the solution and the factors are unstaged at the
-// end.  No intermediate result round-trips through a host blas::Matrix;
-// the launch schedule (stages, op tallies, kernel times) is identical to
-// the pre-resident pipeline — the refactor moves memory, not math.
+// transfer), and the solution is unstaged at the end.  That resident
+// pipeline (least_squares_resident_run) also serves the adaptive ladder
+// and the solver service, which keep the factors resident; only
+// least_squares unstages Q and R too, as the paper's pipeline does.
 #pragma once
 
 #include <cassert>
@@ -31,36 +31,43 @@ namespace stage {
 inline constexpr const char* qhb = "Q^H*b";
 }
 
-template <class T>
+// The solution and the QR factors (functional mode only): unstaged host
+// factors from least_squares, still-resident ones (ResidentLsq) from the
+// resident pipeline that drivers reusing factors run.
+template <class T, class Factors = QrFactors<T>>
 struct LeastSquaresResult {
-  blas::Vector<T> x;       // functional mode only
+  blas::Vector<T> x;
   double qr_kernel_ms = 0;  // modeled kernel time of the QR phase
   double bs_kernel_ms = 0;  // modeled kernel time of Q^H b + back subst.
-  // The QR factors the pipeline computed anyway (functional mode only),
-  // kept so callers can reuse them — the adaptive ladder refines against
-  // them instead of refactorizing (adaptive_lsq.hpp).
-  QrFactors<T> factors;
+  Factors factors;
 };
+template <class T>
+using ResidentLsq = LeastSquaresResult<T, StagedQr<T>>;
 
 // The post-factorization stages of the pipeline — y = (Q^H b)[0:C]
 // against a RESIDENT Q, the plane-contiguous copy of R's leading triangle
 // into the back-substitution operand, and the tiled back substitution —
-// shared verbatim by the cold pipeline (least_squares_run below) and the
-// serve layer's warm cache-hit path (serve/service.hpp), which replays
-// them against factors held resident by the factor cache.  Warm solves
-// are limb-identical to cold solves by construction: the QR pipeline is
-// deterministic, so cached factors are bit-identical to freshly computed
-// ones, and this function issues the identical launches either way.
+// shared verbatim by the cold pipeline (least_squares_resident_run below)
+// and the serve layer's warm cache-hit path (serve/service.hpp).  `q`
+// and `r` hold at least Q's leading C columns and R's leading C-by-C
+// triangle — the staged QR's full factors or a ResidentQr's thin ones —
+// read in place.  Warm solves are limb-identical to cold solves by
+// construction: the QR pipeline is deterministic, so cached factors are
+// bit-identical to freshly computed ones, and this function issues the
+// identical launches either way.
 // Functional mode returns the resident solution (the caller unstages it);
 // dry-run mode prices the identical schedule with null operands.
 template <class T>
 device::Staged1D<T> staged_lsq_finish(device::Device& dev,
-                                      const StagedQr<T>* f,
+                                      const device::Staged2D<T>* q,
+                                      const device::Staged2D<T>* r,
                                       const device::Staged1D<T>* sb, int M,
                                       int C, int tile) {
   using O = ops_of<T>;
   const bool fn = dev.functional();
-  assert(!fn || (f != nullptr && sb != nullptr));
+  assert(!fn || (q != nullptr && r != nullptr && sb != nullptr &&
+                 q->rows() == M && q->cols() >= C && r->rows() >= C &&
+                 r->cols() >= C));
   const std::int64_t esz = 8 * blas::scalar_traits<T>::doubles_per_element;
 
   // y = (Q^H b)[0:C] against the RESIDENT Q, one block per output entry;
@@ -75,7 +82,7 @@ device::Staged1D<T> staged_lsq_finish(device::Device& dev,
         stage::qhb, C, tile, ops, (std::int64_t(M) * C + M + C) * esz,
         serial, blas::block_count(C, dev.parallelism()), [&](int task) {
           const auto blk = blas::block_range(C, dev.parallelism(), task);
-          const auto qv = f->q.view();
+          const auto qv = q->view();
           const auto bv = sb->view();
           for (int j = blk.begin; j < blk.end; ++j) {
             T s{};
@@ -90,7 +97,7 @@ device::Staged1D<T> staged_lsq_finish(device::Device& dev,
     // The back substitution inverts diagonal tiles in place, so it runs
     // on a copy of R's leading triangle — the resident factors stay
     // intact for reuse.
-    device::Staged2D<T> rtop = upper_triangle(f->r, C);
+    device::Staged2D<T> rtop = upper_triangle(*r, C);
     tiled_back_sub_staged_run<T>(dev, &rtop, &y, C / tile, tile);
   } else {
     tiled_back_sub_staged_run<T>(dev, nullptr, nullptr, C / tile, tile);
@@ -98,18 +105,19 @@ device::Staged1D<T> staged_lsq_finish(device::Device& dev,
   return y;
 }
 
-// The whole pipeline on M-by-C operands `a`/`b` (null in dry-run mode).
-// The shape contract is checked before any staging or launch.
+// The one resident pipeline on M-by-C operands `a`/`b` (null in dry-run
+// mode): A, b in, blocked QR, staged_lsq_finish, x out; the factors stay
+// resident.  The shape contract is checked before any staging or launch.
 template <class T>
-LeastSquaresResult<T> least_squares_run(device::Device& dev,
-                                        const blas::Matrix<T>* a,
-                                        const blas::Vector<T>* b, int M,
-                                        int C, int tile) {
+ResidentLsq<T> least_squares_resident_run(device::Device& dev,
+                                          const blas::Matrix<T>* a,
+                                          const blas::Vector<T>* b, int M,
+                                          int C, int tile) {
   check_qr_shape("least_squares", M, C, tile);
   const bool fn = dev.functional();
   assert(!fn || (a != nullptr && b != nullptr));
 
-  LeastSquaresResult<T> out;
+  ResidentLsq<T> out;
 
   // Stage the inputs once; every intermediate below stays resident.
   device::Staged2D<T> sa;
@@ -122,19 +130,36 @@ LeastSquaresResult<T> least_squares_run(device::Device& dev,
     dev.price_staging<T>(M, 1);
   }
 
-  StagedQr<T> f = blocked_qr_staged_run<T>(dev, fn ? &sa : nullptr, M, C,
-                                           tile);
+  out.factors = blocked_qr_staged_run<T>(dev, fn ? &sa : nullptr, M, C,
+                                         tile);
   out.qr_kernel_ms = dev.kernel_ms();
 
   device::Staged1D<T> y = staged_lsq_finish<T>(
-      dev, fn ? &f : nullptr, fn ? &sb : nullptr, M, C, tile);
+      dev, fn ? &out.factors.q : nullptr, fn ? &out.factors.r : nullptr,
+      fn ? &sb : nullptr, M, C, tile);
   out.bs_kernel_ms = dev.kernel_ms() - out.qr_kernel_ms;
 
-  if (fn) {
+  if (fn)
     out.x = dev.unstage(y);
-    out.factors = QrFactors<T>{dev.unstage(f.q), dev.unstage(f.r)};
-  } else {
+  else
     dev.price_staging<T>(C, 1);
+  return out;
+}
+
+// The least_squares pipeline: the resident one, then Q and R unstaged
+// too (the paper's pipeline returns the factors) — A, b in and x, Q, R
+// out.
+template <class T>
+LeastSquaresResult<T> least_squares_run(device::Device& dev,
+                                        const blas::Matrix<T>* a,
+                                        const blas::Vector<T>* b, int M,
+                                        int C, int tile) {
+  ResidentLsq<T> res = least_squares_resident_run<T>(dev, a, b, M, C, tile);
+  LeastSquaresResult<T> out{std::move(res.x), res.qr_kernel_ms,
+                            res.bs_kernel_ms, {}};
+  if (dev.functional()) {
+    out.factors = {dev.unstage(res.factors.q), dev.unstage(res.factors.r)};
+  } else {
     dev.price_staging<T>(M, M);
     dev.price_staging<T>(M, C);
   }

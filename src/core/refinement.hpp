@@ -21,8 +21,9 @@
 // (least_squares_with_factors, core/back_substitution.hpp) and one
 // device-priced body (correction_solve_staged_run below), which runs
 // against factors held resident in a ResidentQr — the factor store of the
-// adaptive ladder (adaptive_lsq.hpp) and of the block Toeplitz solver
-// behind the path tracker (block_toeplitz.hpp).
+// adaptive ladder (adaptive_lsq.hpp), of the block Toeplitz solver behind
+// the path tracker (block_toeplitz.hpp) and of the solver service's
+// factor cache (serve/factor_cache.hpp).
 #pragma once
 
 #include <cassert>
@@ -111,33 +112,25 @@ void correction_solve_dry(device::Device& dev, int m, int c, int tile) {
 }
 
 // QR factors held device-resident for repeated correction solves: Q's
-// leading c columns (all the solve reads) and R's leading c-by-c
-// triangle with zeros below the diagonal.  The adaptive ladder and the
-// block Toeplitz solver keep their factors this way.
+// leading c columns and R's leading c-by-c triangle with zeros below the
+// diagonal — all the solves read.  The one form in which any driver keeps
+// factors: the adaptive ladder, the block Toeplitz solver and the solver
+// service's factor cache.
 template <class T>
 struct ResidentQr {
-  device::Staged2D<T> q;     // m-by-c' (c' >= c): Q's leading columns
+  device::Staged2D<T> q;     // m-by-c: Q's leading columns
   device::Staged2D<T> rtop;  // c-by-c upper triangle
 
   int rows() const noexcept { return q.rows(); }
   int cols() const noexcept { return rtop.cols(); }
+  std::int64_t bytes() const noexcept { return q.bytes() + rtop.bytes(); }
 
-  // Keeps the factors the staged QR left resident: Q moves, and R's
-  // leading triangle is copied plane-contiguously.
+  // Keeps the factors the staged QR left resident, trimmed to what the
+  // solves read: Q's leading c columns (Q moves when it has no more) and
+  // R's leading triangle, both copied plane-contiguously on the device —
+  // structural copies, no transfer and no multiple-double operation.
   static ResidentQr from_staged(StagedQr<T>&& f, int c) {
-    return {std::move(f.q), upper_triangle(f.r, c)};
-  }
-
-  // A structural staging copy of host factors.  The caller priced the
-  // transfer when it unstaged them, so none is priced here.
-  static ResidentQr from_host(const QrFactors<T>& f) {
-    const int m = f.q.rows(), c = f.r.cols();
-    ResidentQr out{device::Staged2D<T>(m, c), device::Staged2D<T>(c, c)};
-    for (int i = 0; i < m; ++i)
-      for (int j = 0; j < c; ++j) out.q.set(i, j, f.q(i, j));
-    for (int i = 0; i < c; ++i)
-      for (int j = i; j < c; ++j) out.rtop.set(i, j, f.r(i, j));
-    return out;
+    return {leading_columns(std::move(f.q), c), upper_triangle(f.r, c)};
   }
 
   // The priced correction solve on these factors; `r` has rows() entries.
@@ -145,6 +138,20 @@ struct ResidentQr {
                            int tile) const {
     return correction_solve_staged_run<T>(dev, &q, &rtop, r, rows(), cols(),
                                           tile);
+  }
+
+ private:
+  static device::Staged2D<T> leading_columns(device::Staged2D<T>&& q, int c) {
+    if (q.cols() == c) return std::move(q);
+    const int m = q.rows();
+    device::Staged2D<T> t(m, c);
+    const auto qv = q.view();
+    const auto tv = t.view();
+    for (int i = 0; i < m; ++i)
+      for (int s = 0; s < blas::StagedView<T>::planes; ++s)
+        md::planes::copy(qv.row_segment(s, i, 0, c),
+                         tv.row_segment(s, i, 0, c));
+    return t;
   }
 };
 

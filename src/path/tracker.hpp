@@ -449,7 +449,7 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
   const core::BlockToeplitzSolver<TL> solver(dev, std::move(blocks), opt.tile);
   blas::TriCondEstimate est;
   core::detail::launch_cond_est(dev, m, opt.tile, 8 * std::int64_t(L), [&] {
-    est = blas::tri_condition_inf(solver.factors().r, m);
+    est = blas::tri_condition_inf(solver.resident().rtop.view(), m);
   });
   const double cond = est.cond;
   rs.cond_estimate = cond;

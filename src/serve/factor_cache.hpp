@@ -1,40 +1,37 @@
 // The factor cache of the solver service (DESIGN.md §11): an LRU map
-// from (matrix fingerprint, limb count) to DEVICE-RESIDENT factor
-// objects — StagedQr factors of the least-squares pipeline, or a
-// BlockToeplitzSolver with its staged mirrors — so repeat requests
-// against the same operator skip both the factorization launches and the
-// input staging transfer.  Staged residency (PR 5 / DESIGN.md §8) is what
-// makes the hit nearly free: a cached factor is already in limb-planar
-// device storage, and the warm path (core::staged_lsq_finish) replays the
+// from a matrix fingerprint to that matrix's thin DEVICE-RESIDENT QR
+// factors (core::ResidentQr: Q's leading c columns and R's c-by-c
+// triangle, all a solve reads), so repeat least-squares requests against
+// the same operator skip both the factorization launches and the input
+// staging transfer.  Staged residency (DESIGN.md §8) is what makes the
+// hit nearly free: a cached factor is already in limb-planar device
+// storage, and the warm path (core::staged_lsq_finish) replays the
 // identical post-factorization launches against it, so cache-hit results
 // are limb-identical to cold results by construction.
 //
-// Keying.  The fingerprint hashes the matrix SHAPE plus every limb of
-// every element bitwise (FNV-1a over the raw double bit patterns), so a
-// perturbation of any entry in any limb changes the key.  The limb count
-// is part of the key — and also folded into the fingerprint itself — so
-// the same values narrowed to a different precision never alias a cached
-// factor of the wrong rung.  Entry kind (QR vs Toeplitz) is a third key
-// component: both factor families of one operator may be cached side by
-// side.
+// Keying and verification.  The key is a fingerprint: FNV-1a over the
+// shape, the limb count and every limb of every element bitwise.  FNV-1a
+// is not collision-resistant, so every entry keeps its operand A, and
+// find() compares the requested matrix's shape and every limb bit
+// pattern against it (a NaN entry matches itself).  A mismatch is a miss
+// and a verification failure, never another matrix's factors.
 //
-// Eviction.  Entries are charged their resident bytes
-// (device::Staged2D::bytes() sums, supplied by the inserter); when the
-// running total exceeds the byte budget the least-recently-used entries
-// are dropped.  An entry larger than the whole budget is not retained.
-// Hit / miss / eviction / insertion counters feed the service stats and
-// the bench_serve cache-hit-rate column.
+// Eviction.  Entries are charged A's limbs plus the factors' planes;
+// past the byte budget the least-recently-used entries are dropped, and
+// an entry larger than the whole budget is not retained.  The counters
+// feed the service stats and the bench_serve cache-hit-rate column.
 //
-// Concurrency.  All operations take one mutex; find() hands back a
-// shared_ptr<const E>, so workers use a hit outside the lock while
-// eviction can drop the map's reference safely (the factor dies with the
-// last reader).  Entries are immutable once inserted — the warm solve
-// copies R's triangle before inverting tiles, never mutating the cached
-// planes.
+// Concurrency.  All operations take one mutex (the O(mn) operand
+// comparison too, the order of the fingerprint itself); find() hands
+// back a shared_ptr<const CachedFactors>, so workers use a hit outside
+// the lock while eviction can drop the map's reference safely.  Entries
+// are immutable once inserted — the warm solve copies R's triangle
+// before inverting tiles, never mutating the cached planes.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -44,6 +41,7 @@
 
 #include "blas/matrix.hpp"
 #include "blas/scalar.hpp"
+#include "core/refinement.hpp"
 
 namespace mdlsq::serve {
 
@@ -85,30 +83,38 @@ std::uint64_t fingerprint(const blas::Matrix<T>& a) {
   return h;
 }
 
-// What family of factor an entry holds.  Part of the key, so the QR
-// factors and the Toeplitz solver of the same operator coexist.
-enum class FactorKind { qr, toeplitz };
+// True when `a` and `b` have the same shape and the same bit pattern in
+// every limb of every element.
+template <class T>
+bool same_bits(const blas::Matrix<T>& a, const blas::Matrix<T>& b) noexcept {
+  static_assert(sizeof(T) == sizeof(double) *
+                                 blas::scalar_traits<T>::doubles_per_element,
+                "a scalar is its limbs, with no padding");
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int i = 0; i < a.rows(); ++i)
+    for (int j = 0; j < a.cols(); ++j)
+      if (std::memcmp(&a(i, j), &b(i, j), sizeof(T)) != 0) return false;
+  return true;
+}
 
-struct FactorKey {
-  std::uint64_t fingerprint = 0;
-  int limbs = 0;
-  FactorKind kind = FactorKind::qr;
+// One cache entry: the operand, compared on every hit, and its thin
+// resident factors.
+template <class T>
+struct CachedFactors {
+  blas::Matrix<T> a;
+  core::ResidentQr<T> qr;
 
-  bool operator==(const FactorKey&) const = default;
-};
-
-struct FactorKeyHash {
-  std::size_t operator()(const FactorKey& k) const noexcept {
-    std::uint64_t h = k.fingerprint;
-    h = fnv1a_mix(h, static_cast<std::uint64_t>(k.limbs));
-    h = fnv1a_mix(h, static_cast<std::uint64_t>(k.kind));
-    return static_cast<std::size_t>(h);
+  // Charged against the budget: A's limbs plus the factors' planes.
+  std::int64_t bytes() const noexcept {
+    return std::int64_t(a.rows()) * a.cols() * std::int64_t(sizeof(T)) +
+           qr.bytes();
   }
 };
 
 struct FactorCacheStats {
   std::int64_t hits = 0;
-  std::int64_t misses = 0;
+  std::int64_t misses = 0;           // verification failures included
+  std::int64_t verify_failures = 0;  // key found, operand differed
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;
   std::int64_t bytes = 0;     // currently resident
@@ -120,25 +126,12 @@ struct FactorCacheStats {
   }
 };
 
-// The LRU itself.  Entries are type-erased (one cache serves every limb
-// instantiation); find() checks the stored type before handing the entry
-// back and treats a kind/type mismatch as a miss rather than a cast.
+// The LRU itself, for one scalar type.
+template <class T>
 class FactorCache {
-  struct Slot {
-    FactorKey key;
-    std::shared_ptr<const void> entry;
-    const void* type = nullptr;  // type tag (detail::type_tag<E>())
-    std::int64_t bytes = 0;
-  };
-  using Lru = std::list<Slot>;
-
-  template <class E>
-  static const void* type_tag() noexcept {
-    static const char tag = 0;
-    return &tag;
-  }
-
  public:
+  using Entry = CachedFactors<T>;
+
   explicit FactorCache(std::int64_t byte_budget = std::int64_t(64) << 20)
       : budget_(byte_budget) {
     if (byte_budget < 0)
@@ -146,42 +139,41 @@ class FactorCache {
           "mdlsq: FactorCache byte budget must be >= 0");
   }
 
-  std::int64_t byte_budget() const noexcept { return budget_; }
-
-  // Looks a key up and promotes it to most-recently-used.  Returns null
-  // (and counts a miss) when absent or when the entry under the key is
-  // not an E.
-  template <class E>
-  std::shared_ptr<const E> find(const FactorKey& key) {
+  // Looks `key` up and checks that its entry was built from `a`.  A hit
+  // promotes the entry to most-recently-used.  An absent key is a miss;
+  // an entry for another operand is a miss and a verification failure,
+  // and stays cached for its own operand.
+  std::shared_ptr<const Entry> find(std::uint64_t key,
+                                    const blas::Matrix<T>& a) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it == map_.end() || it->second->type != type_tag<E>()) {
+    if (it == map_.end()) {
       ++stats_.misses;
+      return nullptr;
+    }
+    if (!same_bits(it->second->entry->a, a)) {
+      ++stats_.misses;
+      ++stats_.verify_failures;
       return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
-    return std::static_pointer_cast<const E>(it->second->entry);
+    return it->second->entry;
   }
 
-  // Inserts (or replaces) an entry charged `bytes` resident bytes, then
-  // evicts least-recently-used entries until the budget holds again.  An
-  // entry that alone exceeds the budget is dropped immediately (counted
-  // as an insertion and an eviction), so the cache never pins more than
-  // the budget.
-  template <class E>
-  void insert(const FactorKey& key, std::shared_ptr<const E> entry,
-              std::int64_t bytes) {
+  // Inserts (or replaces) an entry charged entry->bytes(), then evicts
+  // least-recently-used entries until the budget holds again.  An entry
+  // that alone exceeds the budget is dropped immediately (counted as an
+  // insertion and an eviction), so the cache never pins more than the
+  // budget.
+  void insert(std::uint64_t key, std::shared_ptr<const Entry> entry) {
     if (entry == nullptr)
       throw std::invalid_argument("mdlsq: FactorCache cannot cache null");
-    if (bytes < 0)
-      throw std::invalid_argument(
-          "mdlsq: FactorCache entry bytes must be >= 0");
+    const std::int64_t bytes = entry->bytes();
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) drop(it->second);
-    lru_.push_front(Slot{key, std::shared_ptr<const void>(std::move(entry)),
-                         type_tag<E>(), bytes});
+    lru_.push_front(Slot{key, std::move(entry), bytes});
     map_[key] = lru_.begin();
     stats_.bytes += bytes;
     ++stats_.entries;
@@ -195,13 +187,15 @@ class FactorCache {
     return stats_;
   }
 
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (!lru_.empty()) drop(std::prev(lru_.end()));
-  }
-
  private:
-  void drop(Lru::iterator it) {
+  struct Slot {
+    std::uint64_t key;
+    std::shared_ptr<const Entry> entry;
+    std::int64_t bytes = 0;
+  };
+  using Lru = std::list<Slot>;
+
+  void drop(typename Lru::iterator it) {
     stats_.bytes -= it->bytes;
     --stats_.entries;
     ++stats_.evictions;
@@ -212,7 +206,7 @@ class FactorCache {
   mutable std::mutex mu_;
   std::int64_t budget_;
   Lru lru_;
-  std::unordered_map<FactorKey, Lru::iterator, FactorKeyHash> map_;
+  std::unordered_map<std::uint64_t, typename Lru::iterator> map_;
   FactorCacheStats stats_;
 };
 

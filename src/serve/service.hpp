@@ -19,13 +19,15 @@
 //     dry-run pricers supply it machine-independently.
 //
 //   factor cache — fixed-precision LsqJobs consult the FactorCache
-//     before factorizing.  A hit stages ONLY the right-hand side and
-//     replays core::staged_lsq_finish against the resident cached
+//     before factorizing.  A hit (the cached operand verified equal to
+//     the request's A, limb by limb) stages ONLY the right-hand side and
+//     replays core::staged_lsq_finish against the thin resident cached
 //     factors — the identical post-factorization launches the cold path
 //     issues — so warm results are limb-identical to cold results and
 //     measured == analytic holds unchanged (the warm schedule is a
 //     subset of the cold schedule, not a different algorithm).  A miss
-//     runs the cold pipeline and inserts the still-resident factors.
+//     runs the resident pipeline (core::least_squares_resident_run) and
+//     inserts its still-resident factors, trimmed to the thin form.
 //
 //   execution — one worker thread per pool slot, each running jobs on
 //     its slot's DeviceSpec with a fresh Device per job (the batched
@@ -120,6 +122,7 @@ struct ServiceStats {
   // so one snapshot carries the whole service picture.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
+  std::int64_t cache_verify_failures = 0;  // misses whose key collided
   std::int64_t cache_evictions = 0;
   md::OpTally analytic;         // summed over completed jobs
   md::OpTally measured;
@@ -266,6 +269,7 @@ class SolverService {
     const FactorCacheStats cs = cache_.stats();
     s.cache_hits = cs.hits;
     s.cache_misses = cs.misses;
+    s.cache_verify_failures = cs.verify_failures;
     s.cache_evictions = cs.evictions;
     return s;
   }
@@ -464,9 +468,9 @@ class SolverService {
 
   // Fixed-precision least squares through the factor cache.  Warm path:
   // stage b only, replay the shared post-factorization stages against
-  // the cached resident factors (limb-identical to cold by construction
-  // — see core::staged_lsq_finish).  Cold path: the full pipeline, then
-  // the still-resident factors go into the cache.
+  // the cached thin resident factors (limb-identical to cold by
+  // construction — see core::staged_lsq_finish).  Cold path: the
+  // resident pipeline, then its factors go into the cache next to A.
   void run_lsq(const device::DeviceSpec& spec, LsqJob<NH>& job,
                Response<NH>& resp) {
     const int M = job.a.rows(), C = job.a.cols();
@@ -475,35 +479,29 @@ class SolverService {
     dev.set_parallelism(tile_pool_ ? &*tile_pool_ : nullptr,
                         opt_.parallelism);
 
-    std::shared_ptr<const core::StagedQr<T>> cached;
-    FactorKey key;
+    std::shared_ptr<const CachedFactors<T>> cached;
+    std::uint64_t key = 0;
     if (opt_.cache_bytes > 0) {
-      key = FactorKey{fingerprint(job.a), NH, FactorKind::qr};
-      cached = cache_.template find<core::StagedQr<T>>(key);
+      key = fingerprint(job.a);
+      cached = cache_.find(key, job.a);
     }
 
     if (cached != nullptr) {
       obs::Span span("cache hit", obs::Cat::cache, NH);
       device::Staged1D<T> sb = dev.stage(job.b);
-      device::Staged1D<T> y =
-          core::staged_lsq_finish<T>(dev, cached.get(), &sb, M, C, job.tile);
+      device::Staged1D<T> y = core::staged_lsq_finish<T>(
+          dev, &cached->qr.q, &cached->qr.rtop, &sb, M, C, job.tile);
       resp.x = dev.unstage(y);
       resp.cache_hit = true;
     } else {
       obs::Span span("cache miss", obs::Cat::cache, NH);
-      device::Staged2D<T> sa = dev.stage(job.a);
-      device::Staged1D<T> sb = dev.stage(job.b);
-      core::StagedQr<T> f =
-          core::blocked_qr_staged_run<T>(dev, &sa, M, C, job.tile);
-      device::Staged1D<T> y =
-          core::staged_lsq_finish<T>(dev, &f, &sb, M, C, job.tile);
-      resp.x = dev.unstage(y);
-      if (opt_.cache_bytes > 0) {
-        const std::int64_t bytes = f.q.bytes() + f.r.bytes();
-        cache_.insert(key,
-                      std::make_shared<const core::StagedQr<T>>(std::move(f)),
-                      bytes);
-      }
+      core::ResidentLsq<T> sol = core::least_squares_resident_run<T>(
+          dev, &job.a, &job.b, M, C, job.tile);
+      resp.x = std::move(sol.x);
+      if (opt_.cache_bytes > 0)
+        cache_.insert(key, std::make_shared<const CachedFactors<T>>(
+                               job.a, core::ResidentQr<T>::from_staged(
+                                          std::move(sol.factors), C)));
     }
     if (obs::MetricsRegistry* m = opt_.metrics;
         m != nullptr && opt_.cache_bytes > 0) {
@@ -514,6 +512,8 @@ class SolverService {
       m->gauge_set("serve.cache.bytes", static_cast<double>(cs.bytes));
       m->gauge_set("serve.cache.evictions",
                    static_cast<double>(cs.evictions));
+      m->gauge_set("serve.cache.verify_failures",
+                   static_cast<double>(cs.verify_failures));
     }
     resp.analytic = dev.analytic_total();
     resp.measured = dev.measured_total();
@@ -559,7 +559,7 @@ class SolverService {
 
   core::DevicePool pool_;
   ServiceOptions opt_;
-  FactorCache cache_;
+  FactorCache<T> cache_;
   std::optional<util::ThreadPool> tile_pool_;
 
   mutable std::mutex mu_;

@@ -556,7 +556,9 @@ TEST(AdaptiveLsqDry, FunctionalLadderCostMatchesDryWhenPathsAgree) {
   // On the 24x16 Hilbert problem the functional ladder takes the path the
   // dry model assumes (factor at d2, refine upward), so its device tallies
   // stay within the dry schedule's ballpark: equal rung-0 factorization,
-  // refinement launches priced identically per iteration.
+  // refinement launches priced identically per iteration.  Rung 0's
+  // modeled wall time matches too, so the pricer's transfers (A, b in,
+  // x out; the factors stay resident) cannot drift from the ladder's.
   auto [a, b] = hilbert_problem<8>(24, 16);
   AdaptiveOptions opt;
   opt.tol = 1e-25;
@@ -564,7 +566,11 @@ TEST(AdaptiveLsqDry, FunctionalLadderCostMatchesDryWhenPathsAgree) {
   auto dry = core::adaptive_least_squares_dry<md::od_real>(
       device::volta_v100(), 24, 16, opt);
   ASSERT_GE(fn.rungs.size(), 2u);
+  ASSERT_TRUE(fn.rungs[0].refactorized);
+  ASSERT_EQ(fn.rungs[0].refine_iterations, 0);
   EXPECT_TRUE(fn.rungs[0].analytic == dry.rungs[0].analytic);
+  EXPECT_DOUBLE_EQ(fn.rungs[0].kernel_ms, dry.rungs[0].kernel_ms);
+  EXPECT_DOUBLE_EQ(fn.rungs[0].wall_ms, dry.rungs[0].wall_ms);
 }
 
 // --- batched adaptive --------------------------------------------------------

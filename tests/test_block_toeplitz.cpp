@@ -1,7 +1,8 @@
-// Lower triangular block Toeplitz power-series solver: exact
-// reconstruction against dense solves, banded structure, precision
-// dependence of the coefficient error with series order (the paper's §1.1
-// motivation), and complex data.
+// Lower triangular block Toeplitz power-series solver, factored and
+// solved through the device pipeline: exact reconstruction against dense
+// solves, banded structure, precision dependence of the coefficient error
+// with series order (the paper's §1.1 motivation), complex data, and the
+// dry-run price of the schedule.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -9,11 +10,27 @@
 #include "blas/generate.hpp"
 #include "blas/norms.hpp"
 #include "core/block_toeplitz.hpp"
+#include "support/test_support.hpp"
 
 using namespace mdlsq;
 using mdlsq::md::mdreal;
+using test_support::make_dev;
 
 namespace {
+
+// Factors the blocks on a fresh functional device and solves the series,
+// with one tile spanning the block: the blocked QR then runs one panel,
+// the unblocked Householder factorization.
+template <class T>
+std::vector<blas::Vector<T>> device_series(
+    const std::vector<blas::Matrix<T>>& blocks,
+    const std::vector<blas::Vector<T>>& rhs) {
+  const int tile = blocks[0].rows();
+  auto dev = make_dev<T>(device::ExecMode::functional);
+  core::BlockToeplitzSolver<T> solver(dev, blocks, tile);
+  return solver.solve_on(dev, rhs, tile);
+}
+
 // Builds the full (K+1)m x (K+1)m lower block Toeplitz matrix and checks
 // the residual of the block solution.
 template <class T>
@@ -50,10 +67,11 @@ TEST(BlockToeplitz, SolvesRandomSeries) {
   for (int k = 0; k < orders; ++k)
     rhs.push_back(blas::random_vector<T>(m, gen));
 
-  core::BlockToeplitzSolver<T> solver(blocks);
+  auto dev = make_dev<T>(device::ExecMode::functional);
+  core::BlockToeplitzSolver<T> solver(dev, blocks, m);
   EXPECT_EQ(solver.block_dim(), m);
   EXPECT_EQ(solver.bandwidth(), band);
-  auto x = solver.solve(rhs);
+  auto x = solver.solve_on(dev, rhs, m);
   ASSERT_EQ(x.size(), rhs.size());
   EXPECT_LE(toeplitz_residual(blocks, rhs, x), 1e-50);
 }
@@ -65,8 +83,7 @@ TEST(BlockToeplitz, SingleBlockIsPlainSolve) {
   std::vector<blas::Matrix<T>> blocks{blas::random_matrix<T>(m, m, gen)};
   auto want = blas::random_vector<T>(m, gen);
   auto b = blas::gemv(blocks[0], std::span<const T>(want));
-  core::BlockToeplitzSolver<T> solver(blocks);
-  auto x = solver.solve({b});
+  auto x = device_series<T>(blocks, {b});
   for (int i = 0; i < m; ++i)
     EXPECT_LE(blas::abs_of(x[0][i] - want[i]).to_double(), 1e-26);
 }
@@ -90,8 +107,7 @@ TEST(BlockToeplitz, RecoversKnownSeries) {
       for (int i = 0; i < m; ++i) rhs[k][i] += t[i];
     }
   }
-  core::BlockToeplitzSolver<T> solver(blocks);
-  auto x = solver.solve(rhs);
+  auto x = device_series<T>(blocks, rhs);
   // Round-off is amplified order by order by the recursion (the very
   // effect that motivates extended precision): allow a growth factor per
   // order on top of the quad double eps, and require tight recovery for
@@ -124,8 +140,7 @@ TEST(BlockToeplitz, ErrorGrowsWithOrderFasterInLowerPrecision) {
         for (int i = 0; i < m; ++i) rhs[k][i] += t[i];
       }
     }
-    core::BlockToeplitzSolver<T> solver(blocks);
-    auto x = solver.solve(rhs);
+    auto x = device_series<T>(blocks, rhs);
     double worst = 0;
     for (int i = 0; i < m; ++i)
       worst = std::max(
@@ -147,22 +162,24 @@ TEST(BlockToeplitz, ValidatesInputWithThrownErrors) {
   const int m = 4;
   std::vector<blas::Matrix<T>> blocks{blas::random_matrix<T>(m, m, gen)};
 
-  EXPECT_THROW(core::BlockToeplitzSolver<T>({}), std::invalid_argument);
+  auto dev = make_dev<T>(device::ExecMode::functional);
+  EXPECT_THROW(core::BlockToeplitzSolver<T>(dev, {}, 2),
+               std::invalid_argument);
   EXPECT_THROW(core::BlockToeplitzSolver<T>(
-                   {blas::random_matrix<T>(m, m, gen),
-                    blas::random_matrix<T>(m + 1, m + 1, gen)}),
+                   dev, {blas::random_matrix<T>(m, m, gen),
+                         blas::random_matrix<T>(m + 1, m + 1, gen)},
+                   2),
                std::invalid_argument);
 
-  core::BlockToeplitzSolver<T> solver(blocks);
-  EXPECT_THROW(solver.solve({blas::random_vector<T>(m + 1, gen)}),
+  core::BlockToeplitzSolver<T> solver(dev, blocks, 2);
+  EXPECT_THROW(solver.solve_on(dev, {blas::random_vector<T>(m + 1, gen)}, 2),
                std::invalid_argument);
-  EXPECT_THROW(solver.solve_diag(blas::random_vector<T>(m - 1, gen)),
+  const auto short_r = blas::random_vector<T>(m - 1, gen);
+  EXPECT_THROW(solver.solve_diag_on(dev, std::span<const T>(short_r), 2),
                std::invalid_argument);
 
-  // Device path: the tile must divide the block dimension, and the
-  // factorizing constructor needs a functional device.
-  device::Device dev(device::volta_v100(), md::Precision::d2,
-                     device::ExecMode::functional);
+  // The tile must divide the block dimension, and the factorizing
+  // constructor needs a functional device.
   EXPECT_THROW(core::BlockToeplitzSolver<T>(dev, blocks, 3),
                std::invalid_argument);
   device::Device dry(device::volta_v100(), md::Precision::d2,
@@ -171,28 +188,7 @@ TEST(BlockToeplitz, ValidatesInputWithThrownErrors) {
                std::invalid_argument);
 }
 
-TEST(BlockToeplitz, ExposedFactorsDriveReusableCorrectionSolves) {
-  using T = mdreal<4>;
-  std::mt19937_64 gen(507);
-  const int m = 6;
-  std::vector<blas::Matrix<T>> blocks{blas::random_matrix<T>(m, m, gen)};
-  core::BlockToeplitzSolver<T> solver(blocks);
-
-  // The cached factors reconstruct T_0 (Q R == T_0) ...
-  const auto& f = solver.factors();
-  auto qr = blas::gemm(f.q, f.r);
-  EXPECT_LE(blas::max_abs_diff(qr, blocks[0]).to_double(), 1e-58);
-
-  // ... and feed the refinement machinery's factor-reusing correction
-  // solve without refactorizing: identical arithmetic to solve_diag.
-  auto r = blas::random_vector<T>(m, gen);
-  auto host = solver.solve_diag(r);
-  auto fact = core::least_squares_with_factors(f, std::span<const T>(r));
-  for (int i = 0; i < m; ++i)
-    EXPECT_LE(blas::abs_of(host[i] - fact[i]).to_double(), 1e-55);
-}
-
-TEST(BlockToeplitz, DeviceSolveMatchesHostAndDryRunPricesTheSchedule) {
+TEST(BlockToeplitz, DeviceSolveAndDryRunPriceTheSameSchedule) {
   using T = mdreal<2>;
   std::mt19937_64 gen(508);
   const int m = 8, band = 3, orders = 6, tile = 4;
@@ -210,18 +206,13 @@ TEST(BlockToeplitz, DeviceSolveMatchesHostAndDryRunPricesTheSchedule) {
                      device::ExecMode::functional);
   core::BlockToeplitzSolver<T> dslv(dev, blocks, tile);
   auto xd = dslv.solve_on(dev, rhs, tile);
-
-  // Device results satisfy the same recursion as the host reference (the
-  // factors differ — blocked vs unblocked QR — so compare residuals, not
-  // limbs).
-  core::BlockToeplitzSolver<T> hslv(blocks);
-  auto xh = hslv.solve(rhs);
-  ASSERT_EQ(xd.size(), xh.size());
+  ASSERT_EQ(xd.size(), rhs.size());
   EXPECT_LE(toeplitz_residual(blocks, rhs, xd), 1e-26);
-  EXPECT_LE(toeplitz_residual(blocks, rhs, xh), 1e-26);
 
   // Exact tallies per stage, and the dry run walks the identical
-  // schedule: same analytic totals, launches, kernel milliseconds.
+  // schedule: same analytic totals, launches, kernel milliseconds, and
+  // the same transfers (T_0 in, residuals in and corrections out — no
+  // factor is unstaged).
   for (const auto& s : dev.stages())
     EXPECT_TRUE(s.measured == s.analytic) << "stage " << s.name;
   device::Device dry(device::volta_v100(), md::Precision::d2,
@@ -230,6 +221,7 @@ TEST(BlockToeplitz, DeviceSolveMatchesHostAndDryRunPricesTheSchedule) {
   core::BlockToeplitzSolver<T>::solve_series_dry(dry, m, band, orders, tile);
   EXPECT_TRUE(dry.analytic_total() == dev.analytic_total());
   EXPECT_DOUBLE_EQ(dry.kernel_ms(), dev.kernel_ms());
+  EXPECT_DOUBLE_EQ(dry.wall_ms(), dev.wall_ms());
   EXPECT_EQ(dry.launches(), dev.launches());
 }
 
@@ -241,7 +233,6 @@ TEST(BlockToeplitz, ComplexData) {
                                       blas::random_matrix<Z>(m, m, gen)};
   std::vector<blas::Vector<Z>> rhs;
   for (int k = 0; k < 6; ++k) rhs.push_back(blas::random_vector<Z>(m, gen));
-  core::BlockToeplitzSolver<Z> solver(blocks);
-  auto x = solver.solve(rhs);
+  auto x = device_series<Z>(blocks, rhs);
   EXPECT_LE(toeplitz_residual(blocks, rhs, x), 1e-26);
 }

@@ -185,10 +185,6 @@ TEST(ShapeContract, BlockedQrRejectsBadShapesBeforeAnyLaunch) {
     expect_rejected_untouched(fn, [&a, tile](device::Device& dev) {
       core::blocked_qr(dev, a, tile);
     });
-    expect_rejected_untouched(fn, [&a, tile](device::Device& dev) {
-      core::blocked_qr_staged(dev, device::Staged2D<ShapeT>::from_host(a),
-                              tile);
-    });
     expect_rejected_untouched(
         device::ExecMode::dry_run, [m, c, tile](device::Device& dev) {
           core::blocked_qr_dry<ShapeT>(dev, m, c, tile);

@@ -117,63 +117,124 @@ TEST(Fingerprint, ShapeIsPartOfTheHash) {
 
 // --- factor cache -----------------------------------------------------------
 
-TEST(FactorCache, CountsHitsMissesAndPromotesOnUse) {
-  serve::FactorCache cache(1 << 20);
-  const serve::FactorKey k1{0x11, 2, serve::FactorKind::qr};
-  const serve::FactorKey k2{0x22, 2, serve::FactorKind::qr};
+namespace {
 
-  EXPECT_EQ(cache.find<int>(k1), nullptr);
-  cache.insert(k1, std::make_shared<const int>(7), 100);
-  cache.insert(k2, std::make_shared<const int>(9), 100);
-  auto hit = cache.find<int>(k1);
+// A cache entry for operand `a` with empty factors: these tests exercise
+// keying, operand verification and the LRU, not the factors.
+template <class T>
+std::shared_ptr<const serve::CachedFactors<T>> entry_for(
+    const blas::Matrix<T>& a) {
+  return std::make_shared<const serve::CachedFactors<T>>(
+      a, core::ResidentQr<T>{});
+}
+
+}  // namespace
+
+TEST(FactorCache, CountsHitsMissesAndPromotesOnUse) {
+  using T = md::dd_real;
+  std::mt19937_64 gen(0xfc1);
+  const auto a1 = blas::random_matrix<T>(4, 2, gen);
+  const auto a2 = blas::random_matrix<T>(4, 2, gen);
+  const std::int64_t entry_bytes = entry_for(a1)->bytes();
+  ASSERT_EQ(entry_bytes, 4 * 2 * 2 * 8);  // A's limbs; no factors
+
+  serve::FactorCache<T> cache(1 << 20);
+  EXPECT_EQ(cache.find(0x11, a1), nullptr);
+  cache.insert(0x11, entry_for(a1));
+  cache.insert(0x22, entry_for(a2));
+  auto hit = cache.find(0x11, a1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 7);
+  EXPECT_TRUE(serve::same_bits(hit->a, a1));
 
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.verify_failures, 0);
   EXPECT_EQ(s.insertions, 2);
   EXPECT_EQ(s.entries, 2);
-  EXPECT_EQ(s.bytes, 200);
+  EXPECT_EQ(s.bytes, 2 * entry_bytes);
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
 TEST(FactorCache, ByteBudgetEvictsLeastRecentlyUsed) {
-  serve::FactorCache cache(250);
-  const serve::FactorKey a{1, 2, serve::FactorKind::qr};
-  const serve::FactorKey b{2, 2, serve::FactorKind::qr};
-  const serve::FactorKey c{3, 2, serve::FactorKind::qr};
-  cache.insert(a, std::make_shared<const int>(1), 100);
-  cache.insert(b, std::make_shared<const int>(2), 100);
-  ASSERT_NE(cache.find<int>(a), nullptr);  // promote a over b
-  cache.insert(c, std::make_shared<const int>(3), 100);  // evicts b
+  using T = md::dd_real;
+  std::mt19937_64 gen(0xfc2);
+  const auto a = blas::random_matrix<T>(4, 2, gen);
+  const auto b = blas::random_matrix<T>(4, 2, gen);
+  const auto c = blas::random_matrix<T>(4, 2, gen);
+  const std::int64_t entry_bytes = entry_for(a)->bytes();
+  const std::int64_t budget = 2 * entry_bytes + entry_bytes / 2;
+  serve::FactorCache<T> cache(budget);
+  cache.insert(1, entry_for(a));
+  cache.insert(2, entry_for(b));
+  ASSERT_NE(cache.find(1, a), nullptr);  // promote a over b
+  cache.insert(3, entry_for(c));         // evicts b
 
-  EXPECT_NE(cache.find<int>(a), nullptr);
-  EXPECT_EQ(cache.find<int>(b), nullptr);
-  EXPECT_NE(cache.find<int>(c), nullptr);
+  EXPECT_NE(cache.find(1, a), nullptr);
+  EXPECT_EQ(cache.find(2, b), nullptr);
+  EXPECT_NE(cache.find(3, c), nullptr);
   const auto s = cache.stats();
   EXPECT_EQ(s.evictions, 1);
-  EXPECT_LE(s.bytes, 250);
+  EXPECT_LE(s.bytes, budget);
 }
 
 TEST(FactorCache, EntryLargerThanTheBudgetIsNeverRetained) {
-  serve::FactorCache cache(50);
-  cache.insert(serve::FactorKey{1, 2, serve::FactorKind::qr},
-               std::make_shared<const int>(1), 100);
-  EXPECT_EQ(cache.find<int>(serve::FactorKey{1, 2, serve::FactorKind::qr}),
-            nullptr);
+  using T = md::dd_real;
+  std::mt19937_64 gen(0xfc3);
+  const auto a = blas::random_matrix<T>(4, 2, gen);
+  serve::FactorCache<T> cache(entry_for(a)->bytes() - 1);
+  cache.insert(1, entry_for(a));
+  EXPECT_EQ(cache.find(1, a), nullptr);
   EXPECT_EQ(cache.stats().bytes, 0);
 }
 
-TEST(FactorCache, KindAndTypeMismatchesAreMisses) {
-  serve::FactorCache cache(1 << 20);
-  const serve::FactorKey qr{0x7, 2, serve::FactorKind::qr};
-  const serve::FactorKey tp{0x7, 2, serve::FactorKind::toeplitz};
-  cache.insert(qr, std::make_shared<const int>(1), 8);
-  EXPECT_EQ(cache.find<int>(tp), nullptr) << "kind is part of the key";
-  EXPECT_EQ(cache.find<double>(qr), nullptr)
-      << "an entry of another type must not be handed back";
-  EXPECT_NE(cache.find<int>(qr), nullptr);
+TEST(FactorCache, HitsVerifyTheOperandBitwise) {
+  // Two matrices under one key (a forced fingerprint collision): the
+  // lookup with the other matrix must miss and count a verification
+  // failure, never hand back the cached matrix's factors.
+  using T = md::qd_real;
+  std::mt19937_64 gen(0xfc4);
+  const auto a1 = blas::random_matrix<T>(5, 3, gen);
+  auto a2 = a1;
+  {
+    auto v = a2(4, 2);
+    v.set_limb(3, v.limb(3) == 0.0 ? 1e-70 : v.limb(3) * (1 + 0x1p-50));
+    a2(4, 2) = v;
+  }
+  ASSERT_FALSE(serve::same_bits(a1, a2));
+
+  serve::FactorCache<T> cache(1 << 20);
+  const std::uint64_t key = serve::fingerprint(a1);
+  cache.insert(key, entry_for(a1));
+  EXPECT_EQ(cache.find(key, a2), nullptr)
+      << "a colliding key must not return another matrix's factors";
+  auto s = cache.stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.verify_failures, 1);
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_NE(cache.find(key, a1), nullptr)
+      << "the entry stays cached for its own operand";
+
+  // The same limbs in another shape are another operand.
+  EXPECT_EQ(cache.find(key, a1.transposed()), nullptr);
+  EXPECT_EQ(cache.stats().verify_failures, 2);
+
+  // Bit patterns, not values: a NaN entry matches itself, and -0 is not
+  // +0.
+  auto nan_a = a1;
+  nan_a(0, 0) = T(std::numeric_limits<double>::quiet_NaN());
+  cache.insert(7, entry_for(nan_a));
+  EXPECT_NE(cache.find(7, blas::Matrix<T>(nan_a)), nullptr);
+  auto pz = a1, nz = a1;
+  pz(1, 1) = T(0.0);
+  nz(1, 1) = T(-0.0);
+  cache.insert(8, entry_for(pz));
+  EXPECT_EQ(cache.find(8, nz), nullptr);
+
+  s = cache.stats();
+  EXPECT_EQ(s.hits, 2);
+  EXPECT_EQ(s.verify_failures, 3);
+  EXPECT_EQ(s.misses, 3);
 }
 
 // --- warm path: limb-identity over the conformance sweep --------------------
@@ -512,14 +573,9 @@ TEST(ServeValidation, ServiceAndCacheConstructionValidate) {
       serve::SolverService<2>(
           core::DevicePool::homogeneous(device::volta_v100(), 1), bad),
       std::invalid_argument);
-  EXPECT_THROW(serve::FactorCache(-1), std::invalid_argument);
-  serve::FactorCache cache(100);
-  EXPECT_THROW(cache.insert(serve::FactorKey{}, std::shared_ptr<const int>(),
-                            8),
-               std::invalid_argument);
-  EXPECT_THROW(cache.insert(serve::FactorKey{}, std::make_shared<const int>(1),
-                            -1),
-               std::invalid_argument);
+  EXPECT_THROW(serve::FactorCache<md::dd_real>(-1), std::invalid_argument);
+  serve::FactorCache<md::dd_real> cache(100);
+  EXPECT_THROW(cache.insert(0, nullptr), std::invalid_argument);
 }
 
 TEST(ServeValidation, BatchReportAbsorbValidatesInRelease) {
@@ -658,16 +714,18 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   auto [a2, b2] = random_problem<4>(32, 16, 0x57a2);
   auto [big_a, big_b] = random_problem<4>(160, 80, 0x57a3);
 
-  // Size the cache to hold exactly ONE 32x16 factor, so the second cold
-  // matrix must evict the first.
-  std::int64_t factor_bytes = 0;
+  // Size the cache to hold exactly ONE 32x16 entry — A next to its thin
+  // factors — so the second cold matrix must evict the first.
+  std::int64_t entry_bytes = 0;
   {
-    auto dev = test_support::make_dev<md::qd_real>(device::ExecMode::functional);
-    auto sa = dev.stage(a);
-    auto f = core::blocked_qr_staged_run<md::qd_real>(dev, &sa, 32, 16, 16);
-    factor_bytes = f.q.bytes() + f.r.bytes();
+    using T = md::qd_real;
+    auto dev = test_support::make_dev<T>(device::ExecMode::functional);
+    auto sol = core::least_squares_resident_run<T>(dev, &a, &b, 32, 16, 16);
+    entry_bytes = serve::CachedFactors<T>{
+        a, core::ResidentQr<T>::from_staged(std::move(sol.factors), 16)}
+                      .bytes();
   }
-  ASSERT_GT(factor_bytes, 0);
+  ASSERT_EQ(entry_bytes, (32 * 16 + 32 * 16 + 16 * 16) * 4 * 8);
 
   // Price the jobs exactly the way the service's admission does (dry
   // pricers against the pool's first slot), then place the backlog limit
@@ -695,7 +753,7 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   serve::ServiceOptions opt;
   opt.queue_limit = 2;
   opt.backlog_limit_ms = limit;
-  opt.cache_bytes = factor_bytes + factor_bytes / 2;
+  opt.cache_bytes = entry_bytes + entry_bytes / 2;
   opt.metrics = &metrics;
   serve::SolverService<4> svc(
       core::DevicePool::homogeneous(device::volta_v100(), 1), opt);
@@ -744,9 +802,11 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   EXPECT_EQ(s.cache_hits, cs.hits);
   EXPECT_EQ(s.cache_misses, cs.misses);
   EXPECT_EQ(s.cache_evictions, cs.evictions);
+  EXPECT_EQ(s.cache_verify_failures, cs.verify_failures);
   EXPECT_EQ(s.cache_hits, 1);
   EXPECT_EQ(s.cache_misses, 2);
   EXPECT_EQ(s.cache_evictions, 1) << "the second factor must evict the first";
+  EXPECT_EQ(s.cache_verify_failures, 0);
   EXPECT_EQ(cs.entries, 1);
 
   // The metrics registry tells the same story as ServiceStats.
@@ -759,6 +819,8 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   EXPECT_EQ(metrics.counter("serve.cache.misses"), s.cache_misses);
   EXPECT_DOUBLE_EQ(metrics.gauge("serve.cache.evictions"),
                    static_cast<double>(s.cache_evictions));
+  EXPECT_DOUBLE_EQ(metrics.gauge("serve.cache.verify_failures"),
+                   static_cast<double>(s.cache_verify_failures));
   EXPECT_EQ(metrics.histogram("serve.queue_wait_ms").count, s.completed)
       << "every dispatched job observes its queue wait exactly once";
   EXPECT_GT(metrics.gauge("serve.tenant.default.dispatched_ms"), 0.0);

@@ -18,7 +18,8 @@
 //     times and wall times;
 //   * the staged factor-reusing correction solve (block Toeplitz
 //     solve_diag_on, and core::ResidentQr on the adaptive ladder's tall
-//     least-squares factors) bit-matches the host-factor solve;
+//     resident-pipeline factors) bit-matches the host solve over
+//     blocked_qr's factors of the same matrix;
 //   * batched and path-tracker spot checks: both inherit the staged
 //     substrate transparently;
 //   * md::planes plane kernels (fill, copy): exact, zero multiple-double
@@ -174,9 +175,11 @@ TEST(StagedExecConformance, SweepComplexOctoDouble) {
 
 namespace {
 
-// The adaptive ladder's shape of the resident solve: tall factors out of
-// least_squares, made resident with ResidentQr::from_host, must solve
-// limb-identically to the host reference with exact stage tallies.
+// The adaptive ladder's shape of the resident solve: tall factors kept
+// resident by the resident least-squares pipeline and trimmed to c
+// columns by ResidentQr::from_staged must solve limb-identically to the
+// host reference over blocked_qr's factors of the same matrix, with
+// exact stage tallies.
 template <class T>
 void check_resident_tall_solve(int m, int c, int tile, std::uint64_t seed) {
   SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(c));
@@ -184,10 +187,14 @@ void check_resident_tall_solve(int m, int c, int tile, std::uint64_t seed) {
   auto a = blas::random_matrix<T>(m, c, gen);
   auto b = blas::random_vector<T>(m, gen);
   auto fdev = make_dev<T>(device::ExecMode::functional);
-  const core::QrFactors<T> f = core::least_squares(fdev, a, b, tile).factors;
-  const auto resident = core::ResidentQr<T>::from_host(f);
+  const core::QrFactors<T> f = core::blocked_qr(fdev, a, tile);
+  auto sdev = make_dev<T>(device::ExecMode::functional);
+  const auto resident = core::ResidentQr<T>::from_staged(
+      core::least_squares_resident_run<T>(sdev, &a, &b, m, c, tile).factors,
+      c);
   ASSERT_EQ(resident.rows(), m);
   ASSERT_EQ(resident.cols(), c);
+  ASSERT_EQ(resident.q.cols(), c);
 
   for (int trial = 0; trial < 3; ++trial) {
     auto r = blas::random_vector<T>(m, gen);
@@ -202,19 +209,24 @@ void check_resident_tall_solve(int m, int c, int tile, std::uint64_t seed) {
 }  // namespace
 
 TEST(StagedExec, StagedCorrectionSolveMatchesHostFactors) {
+  // The Toeplitz solver's square factors, resident from its device
+  // factorization, against the host reference over blocked_qr's factors.
   using T = md::qd_real;
   std::mt19937_64 gen(0xc0ffee);
-  const int m = 12;
+  const int m = 12, tile = 4;
   std::vector<blas::Matrix<T>> blocks;
   blocks.push_back(blas::random_matrix<T>(m, m, gen));
   blocks.push_back(blas::random_matrix<T>(m, m, gen));
-  core::BlockToeplitzSolver<T> solver(std::move(blocks));
+  auto fdev = make_dev<T>(device::ExecMode::functional);
+  const core::QrFactors<T> f = core::blocked_qr(fdev, blocks[0], tile);
+  auto sdev = make_dev<T>(device::ExecMode::functional);
+  core::BlockToeplitzSolver<T> solver(sdev, std::move(blocks), tile);
 
   for (int trial = 0; trial < 3; ++trial) {
     auto r = blas::random_vector<T>(m, gen);
-    auto host = solver.solve_diag(r);
+    auto host = core::least_squares_with_factors(f, std::span<const T>(r));
     auto dev = make_dev<T>(device::ExecMode::functional);
-    auto staged = solver.solve_diag_on(dev, std::span<const T>(r), 4);
+    auto staged = solver.solve_diag_on(dev, std::span<const T>(r), tile);
     expect_vector_bits(staged, host);
     expect_stage_tallies_exact(dev);
   }

@@ -73,7 +73,7 @@ CaseResult track_case(int m, int order, int tile, int width) {
   // Pin the ladder to the case's precision so each row prices a genuine
   // dNH tracking schedule (the benign path would otherwise finish its
   // whole run on the d2 rung regardless of the target type).
-  opt.start_limbs = NH;
+  opt.rungs = {NH};
   auto h = rational_homotopy<NH>(m, 0x5eed7 + static_cast<std::uint64_t>(m));
 
   const double t0 = now_ms();

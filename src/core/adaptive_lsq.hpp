@@ -42,7 +42,6 @@
 // rung) for the sharding policies' timing model.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -72,15 +71,13 @@ inline constexpr const char* cond_est = "cond est";
 }
 
 // Inherits the shared execution knobs (parallelism, tile_pool, rungs)
-// from core::ExecOptions; here `rungs` is the explicit ladder sequence
-// clipped to [start_limbs, max_limbs] — a finer sequence like
+// from core::ExecOptions; `rungs` is the one ladder knob — its first rung
+// starts the ladder and its last caps it.  A finer sequence like
 // {2, 3, 4, 6, 8} lets an escalation buy one limb at a time instead of
 // doubling the cost (see core::resolve_rungs for validation semantics).
 struct AdaptiveOptions : ExecOptions {
-  double tol = 1e-25;   // requested tolerance on the estimated forward error
-  int tile = 8;         // tile size of the device pipeline (divides cols)
-  int start_limbs = 2;  // first rung of the ladder
-  int max_limbs = 0;    // last rung; 0 means the input type's limb count
+  double tol = 1e-25;  // requested tolerance on the estimated forward error
+  int tile = 8;        // tile size of the device pipeline (divides cols)
 };
 
 // Refinement budget per rung.
@@ -118,11 +115,6 @@ struct AdaptiveLsqResult {
   md::OpTally device_measured() const noexcept {
     md::OpTally t;
     for (const auto& r : rungs) t += r.measured;
-    return t;
-  }
-  md::OpTally host_ops() const noexcept {
-    md::OpTally t;
-    for (const auto& r : rungs) t += r.host_ops;
     return t;
   }
 };
@@ -340,9 +332,8 @@ RungExit run_rung(const device::DeviceSpec& spec,
 }  // namespace detail
 
 // The adaptive driver.  A and b live at the target precision NH; the
-// ladder climbs resolve_rungs(opt.rungs, opt.start_limbs,
-// min(opt.max_limbs, NH)) — by default the doubling sequence from
-// start_limbs.  Requires cols % opt.tile == 0 (the device pipeline's
+// ladder climbs resolve_rungs(opt.rungs, NH) — by default the doubling
+// sequence from d2.  Requires cols % opt.tile == 0 (the device pipeline's
 // tiling contract) and a real scalar type; invalid shapes and rung
 // sequences throw std::invalid_argument (release-mode safe).
 template <int NH>
@@ -360,9 +351,7 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
     throw std::invalid_argument(
         "mdlsq: adaptive_least_squares requires b.size() == rows");
 
-  const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, NH) : NH;
-  const std::vector<int> ladder =
-      resolve_rungs(opt.rungs, opt.start_limbs, maxl);
+  const std::vector<int> ladder = resolve_rungs(opt.rungs, NH);
 
   // A standalone call with parallelism but no shared pool owns one for
   // the ladder's duration (batched_lsq hands every problem its shared
@@ -387,8 +376,8 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
     RungExit exit = RungExit::stagnated;
     with_limbs(l, [&](auto tag) {
       constexpr int P = decltype(tag)::limbs;
-      // resolve_rungs already clipped the ladder to [start_limbs, NH];
-      // the guard only prunes impossible instantiations.
+      // resolve_rungs already dropped the rungs above NH; the guard only
+      // prunes impossible instantiations.
       if constexpr (P <= NH)
         exit = detail::run_rung<P, NH>(spec, a, b, st, aopt, out);
     });
@@ -400,8 +389,8 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
 }
 
 // Dry-run pricing of the adaptive schedule for the sharding policies: a
-// factorization (plus condition estimate) at the starting rung, then
-// dry_refine_sweeps correction solves per later rung on the starting
+// factorization (plus condition estimate) at the resolved sequence's first
+// rung, then dry_refine_sweeps correction solves per later rung on that
 // rung's factors — the expected path when conditioning permits reuse.
 // Escalation decisions are data-dependent, so this is a model, not a
 // replay (DESIGN.md section 4).
@@ -418,16 +407,6 @@ struct AdaptiveDryResult {
     for (const auto& r : rungs) t += r.wall_ms;
     return t;
   }
-  md::OpTally analytic() const noexcept {
-    md::OpTally t;
-    for (const auto& r : rungs) t += r.analytic;
-    return t;
-  }
-  double dp_gflop() const noexcept {
-    double f = 0;
-    for (const auto& r : rungs) f += r.dp_gflop();
-    return f;
-  }
 };
 
 template <class T>
@@ -437,12 +416,10 @@ AdaptiveDryResult adaptive_least_squares_dry(const device::DeviceSpec& spec,
   static_assert(!blas::is_complex_v<T>,
                 "the adaptive ladder runs on real problems");
   constexpr int NH = blas::scalar_traits<T>::limbs;
-  const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, NH) : NH;
   if (opt.tile < 1 || cols % opt.tile != 0)
     throw std::invalid_argument(
         "mdlsq: adaptive_least_squares_dry requires tile >= 1 dividing cols");
-  const std::vector<int> ladder =
-      resolve_rungs(opt.rungs, opt.start_limbs, maxl);
+  const std::vector<int> ladder = resolve_rungs(opt.rungs, NH);
 
   AdaptiveDryResult out;
   with_limbs(ladder.front(), [&](auto tag) {

@@ -30,7 +30,6 @@
 
 #include "core/solve_options.hpp"
 #include "device/device_spec.hpp"
-#include "device/launch.hpp"
 #include "md/op_counts.hpp"
 #include "util/batch_report.hpp"
 #include "util/thread_pool.hpp"
@@ -66,7 +65,6 @@ struct DevicePool {
 // serve layer passes its own), null means run_batch sizes and owns one.
 struct BatchOptions : ExecOptions {
   ShardPolicy policy = ShardPolicy::round_robin;
-  device::ExecMode mode = device::ExecMode::functional;
   int threads = 0;  // host threads; 0 means one per pool slot
 };
 

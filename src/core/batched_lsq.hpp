@@ -2,10 +2,11 @@
 // min_x ||b_i - A_i x_i||_2 sharded across a pool of simulated devices
 // and solved concurrently on a host thread pool.
 //
-// Each problem runs the full single-problem pipeline — blocked
-// Householder QR (Algorithm 2), Q^H b, tiled back substitution
-// (Algorithm 1), or the adaptive precision ladder around it — against its
-// own Device instance, so batched results are bit-identical to
+// Each problem runs the resident single-problem pipeline — A, b in,
+// blocked Householder QR (Algorithm 2), Q^H b, tiled back substitution
+// (Algorithm 1), x out; the driver returns only x, so the factors are
+// never unstaged — or the adaptive precision ladder around it, against
+// its own Device instance, so batched results are bit-identical to
 // sequential solves regardless of pool width, sharding policy or thread
 // count (DESIGN.md §2).  The per-problem Device also gives exact
 // per-problem operation tallies, which the batch report aggregates per
@@ -33,7 +34,8 @@
 
 namespace mdlsq::core {
 
-// The per-problem pipeline.  `direct` is the fixed-precision device solve;
+// The per-problem pipeline.  `direct` is the fixed-precision resident
+// device solve (core::least_squares_resident_run);
 // `adaptive` climbs the precision ladder per problem (adaptive_lsq.hpp),
 // so one batch can mix rungs — each problem pays only for the precision
 // its conditioning demands.
@@ -47,31 +49,14 @@ inline const char* name_of(BatchPipeline p) noexcept {
   return "?";
 }
 
-// One problem of the batch.  In dry_run mode the matrices stay empty and
-// only the dimensions drive the launch schedule.
+// One problem of the batch.
 template <class T>
 struct BatchProblem {
   blas::Matrix<T> a;
   blas::Vector<T> b;
-  int rows = 0;  // used when a is empty (dry run)
-  int cols = 0;
-
-  int m() const noexcept { return a.rows() > 0 ? a.rows() : rows; }
-  int c() const noexcept { return a.cols() > 0 ? a.cols() : cols; }
 
   static BatchProblem functional(blas::Matrix<T> mat, blas::Vector<T> rhs) {
-    BatchProblem p;
-    p.rows = mat.rows();
-    p.cols = mat.cols();
-    p.a = std::move(mat);
-    p.b = std::move(rhs);
-    return p;
-  }
-  static BatchProblem dry(int m, int c) {
-    BatchProblem p;
-    p.rows = m;
-    p.cols = c;
-    return p;
+    return {std::move(mat), std::move(rhs)};
   }
 };
 
@@ -92,10 +77,9 @@ template <class T>
 struct BatchedProblemResult {
   int problem = -1;
   int device = -1;            // pool slot the problem was served by
-  blas::Vector<T> x;          // functional mode only
+  blas::Vector<T> x;
   md::OpTally analytic;       // declared launch tallies of the device solve
   md::OpTally measured;       // counted from the functional kernel bodies
-  md::OpTally refine;         // host ops of the adaptive ladder
   double kernel_ms = 0.0;     // modeled kernel time
   double wall_ms = 0.0;       // modeled wall time (kernel + transfers)
   // Converted per rung at its true device precision (equals
@@ -145,16 +129,15 @@ void require_pipeline_supported(const BatchedLsqOptions& opt) {
 // Every problem's shape, checked on the calling thread before pricing or
 // any solve, so a bad problem is reported by its index and never reaches
 // a worker: the least-squares contract (qr_shape_error) at the batch
-// tile, plus a matching right-hand side in functional mode.  Throws
-// std::invalid_argument, kept under NDEBUG.
+// tile, plus a matching right-hand side.  Throws std::invalid_argument,
+// kept under NDEBUG.
 template <class T>
 void require_valid_problems(const std::vector<BatchProblem<T>>& problems,
                             const BatchedLsqOptions& opt) {
-  const bool fn = opt.mode == device::ExecMode::functional;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const BatchProblem<T>& p = problems[i];
-    const char* err = qr_shape_error(p.m(), p.c(), opt.tile);
-    if (err == nullptr && fn && static_cast<int>(p.b.size()) != p.m())
+    const char* err = qr_shape_error(p.a.rows(), p.a.cols(), opt.tile);
+    if (err == nullptr && static_cast<int>(p.b.size()) != p.a.rows())
       err = "right-hand side length must equal the row count";
     if (err != nullptr)
       throw std::invalid_argument("mdlsq: batched_least_squares problem " +
@@ -174,33 +157,24 @@ BatchedProblemResult<T> solve_one_adaptive(const device::DeviceSpec& spec,
   constexpr int NH = blas::scalar_traits<T>::limbs;
   const AdaptiveOptions aopt = ladder_options(opt, tile_pool);
 
+  auto sol = adaptive_least_squares<NH>(spec, p.a, p.b, aopt);
   BatchedProblemResult<T> r;
   r.problem = idx;
   r.device = slot;
-  if (opt.mode == device::ExecMode::functional) {
-    auto sol = adaptive_least_squares<NH>(spec, p.a, p.b, aopt);
-    r.x = std::move(sol.x);
-    r.analytic = sol.device_analytic();
-    r.measured = sol.device_measured();
-    r.refine = sol.host_ops();
-    r.kernel_ms = sol.kernel_ms();
-    r.wall_ms = sol.wall_ms();
-    r.dp_gflop = sol.dp_gflop();
-    r.rungs = std::move(sol.rungs);
-    r.converged = sol.converged;
-    r.final_precision = sol.final_precision;
-  } else {
-    auto dry = adaptive_least_squares_dry<T>(spec, p.m(), p.c(), aopt);
-    r.analytic = dry.analytic();
-    r.kernel_ms = dry.kernel_ms();
-    r.wall_ms = dry.wall_ms();
-    r.dp_gflop = dry.dp_gflop();
-    r.rungs = std::move(dry.rungs);
-  }
+  r.x = std::move(sol.x);
+  r.analytic = sol.device_analytic();
+  r.measured = sol.device_measured();
+  r.kernel_ms = sol.kernel_ms();
+  r.wall_ms = sol.wall_ms();
+  r.dp_gflop = sol.dp_gflop();
+  r.rungs = std::move(sol.rungs);
+  r.converged = sol.converged;
+  r.final_precision = sol.final_precision;
   return r;
 }
 
-// Solves one problem against a fresh Device on the given pool slot.
+// Solves one problem against a fresh Device on the given pool slot: the
+// resident pipeline, whose factors are dropped with the device.
 template <class T>
 BatchedProblemResult<T> solve_one(const device::DeviceSpec& spec, int slot,
                                   int idx, const BatchProblem<T>& p,
@@ -211,17 +185,15 @@ BatchedProblemResult<T> solve_one(const device::DeviceSpec& spec, int slot,
       return solve_one_adaptive<T>(spec, slot, idx, p, opt, tile_pool);
   }
   const auto prec = md::Precision(blas::scalar_traits<T>::limbs);
-  device::Device dev(spec, prec, opt.mode);
+  device::Device dev(spec, prec, device::ExecMode::functional);
   dev.set_parallelism(tile_pool, opt.parallelism);
 
   BatchedProblemResult<T> r;
   r.problem = idx;
   r.device = slot;
-  if (opt.mode == device::ExecMode::functional) {
-    r.x = least_squares(dev, p.a, p.b, opt.tile).x;
-  } else {
-    least_squares_dry<T>(dev, p.m(), p.c(), opt.tile);
-  }
+  r.x = least_squares_resident_run<T>(dev, &p.a, &p.b, p.a.rows(),
+                                      p.a.cols(), opt.tile)
+            .x;
   r.analytic = dev.analytic_total();
   r.measured = dev.measured_total();
   r.kernel_ms = dev.kernel_ms();
@@ -231,20 +203,22 @@ BatchedProblemResult<T> solve_one(const device::DeviceSpec& spec, int slot,
 }
 
 // Modeled wall time of one problem, from a dry run of the identical
-// launch schedule (no arithmetic, no matrix storage).  Adaptive problems
-// are priced with the ladder's dry schedule.
+// launch schedule (no arithmetic, no matrix storage): a direct problem's
+// price equals its solve's wall_ms.  Adaptive problems are priced with
+// the ladder's dry schedule.
 template <class T>
 double modeled_wall_ms(const device::DeviceSpec& spec, const BatchProblem<T>& p,
                        const BatchedLsqOptions& opt) {
+  const int m = p.a.rows(), c = p.a.cols();
   if constexpr (!blas::is_complex_v<T>) {
     if (opt.pipeline == BatchPipeline::adaptive)
-      return adaptive_least_squares_dry<T>(spec, p.m(), p.c(),
+      return adaptive_least_squares_dry<T>(spec, m, c,
                                            ladder_options(opt, nullptr))
           .wall_ms();
   }
   const auto prec = md::Precision(blas::scalar_traits<T>::limbs);
   device::Device dev(spec, prec, device::ExecMode::dry_run);
-  least_squares_dry<T>(dev, p.m(), p.c(), opt.tile);
+  least_squares_resident_run<T>(dev, nullptr, nullptr, m, c, opt.tile);
   return dev.wall_ms();
 }
 

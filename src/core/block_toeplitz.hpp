@@ -25,7 +25,9 @@
 // refactorizing per step — the tracker's escalation currency
 // (src/path/tracker.hpp).  No factor returns to the host: the transfers
 // priced are the diagonal block in, and per diagonal solve the residual
-// in and the correction out.
+// in and the correction out.  The solver keeps only what the series solve
+// reads: the resident factors of T_0 and staged copies of T_1..T_{band-1}
+// (T_0 itself is staged once, for the QR).
 //
 // Input validation follows the thrown-error convention of core/: invalid
 // shapes raise std::invalid_argument (asserts would vanish under NDEBUG
@@ -35,7 +37,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -60,18 +61,21 @@ class BlockToeplitzSolver {
   // pipeline's tiling contract).
   BlockToeplitzSolver(device::Device& dev, std::vector<blas::Matrix<T>> blocks,
                       int tile)
-      : blocks_(std::move(blocks)) {
-    validate_blocks();
+      : m_(validate_blocks(blocks)),
+        band_(static_cast<int>(blocks.size())) {
     if (!dev.functional())
       throw std::invalid_argument(
           "mdlsq: BlockToeplitzSolver device factorization requires a "
           "functional device (price dry schedules with factor_dry)");
-    validate_tile(block_dim(), tile);
-    const int m = block_dim();
-    auto sa = dev.stage(blocks_[0]);
+    validate_tile(m_, tile);
+    auto sa = dev.stage(blocks[0]);
     resident_ = ResidentQr<T>::from_staged(
-        blocked_qr_staged_run<T>(dev, &sa, m, m, tile), m);
-    build_staged_blocks();
+        blocked_qr_staged_run<T>(dev, &sa, m_, m_, tile), m_);
+    // The band blocks the series solve's convolution launches read (a
+    // host-side structural copy, like all staging conversions).
+    band_blocks_.reserve(blocks.size() - 1);
+    for (std::size_t j = 1; j < blocks.size(); ++j)
+      band_blocks_.push_back(device::Staged2D<T>::from_host(blocks[j]));
   }
 
   // Dry-run price of the factorization for an m-by-m diagonal block:
@@ -82,8 +86,8 @@ class BlockToeplitzSolver {
     blocked_qr_staged_run<T>(dev, nullptr, m, m, tile);
   }
 
-  int block_dim() const noexcept { return blocks_[0].rows(); }
-  int bandwidth() const noexcept { return static_cast<int>(blocks_.size()); }
+  int block_dim() const noexcept { return m_; }
+  int bandwidth() const noexcept { return band_; }
 
   // The resident factors of T_0 (the path tracker's condition estimate
   // reads their triangle).
@@ -154,13 +158,14 @@ class BlockToeplitzSolver {
             blas::block_count(m, par), [&](int task) {
               const auto blk = blas::block_range(m, par, task);
               // The band blocks are read from their staged-resident
-              // copies — same values, same reduction order.  Views are
-              // built once per task, outside the row loop.
+              // copies (T_j at band_blocks_[j - 1]).  Views are built once
+              // per task, outside the row loop.
               std::vector<blas::StagedView<T>> tj(
                   static_cast<std::size_t>(j_max) + 1);
               for (int j = 1; j <= j_max; ++j)
                 tj[static_cast<std::size_t>(j)] =
-                    self->staged_blocks_[static_cast<std::size_t>(j)].view();
+                    self->band_blocks_[static_cast<std::size_t>(j - 1)]
+                        .view();
               for (int i = blk.begin; i < blk.end; ++i) {
                 for (int j = 1; j <= j_max; ++j) {
                   const auto& xk = x[static_cast<std::size_t>(k - j)];
@@ -180,19 +185,21 @@ class BlockToeplitzSolver {
     return x;
   }
 
-  void validate_blocks() const {
-    if (blocks_.empty())
+  // Returns the block dimension.
+  static int validate_blocks(const std::vector<blas::Matrix<T>>& blocks) {
+    if (blocks.empty())
       throw std::invalid_argument(
           "mdlsq: BlockToeplitzSolver needs at least the diagonal block");
-    const int m = blocks_[0].rows();
+    const int m = blocks[0].rows();
     if (m < 1)
       throw std::invalid_argument(
           "mdlsq: BlockToeplitzSolver blocks must be nonempty");
-    for (const auto& blk : blocks_)
+    for (const auto& blk : blocks)
       if (blk.rows() != m || blk.cols() != m)
         throw std::invalid_argument(
             "mdlsq: BlockToeplitzSolver blocks must all be " +
             std::to_string(m) + "-by-" + std::to_string(m));
+    return m;
   }
 
   static void validate_tile(int m, int tile) {
@@ -213,18 +220,10 @@ class BlockToeplitzSolver {
     for (const auto& b : rhs) validate_rhs_length(b.size());
   }
 
-  // The staged band blocks the series solve's convolution launches read
-  // (a host-side structural copy, like all staging conversions).
-  void build_staged_blocks() {
-    staged_blocks_.clear();
-    staged_blocks_.reserve(blocks_.size());
-    for (const auto& blk : blocks_)
-      staged_blocks_.push_back(device::Staged2D<T>::from_host(blk));
-  }
-
-  std::vector<blas::Matrix<T>> blocks_;
+  int m_;
+  int band_;
   ResidentQr<T> resident_;
-  std::vector<device::Staged2D<T>> staged_blocks_;
+  std::vector<device::Staged2D<T>> band_blocks_;  // T_1..T_{band-1}
 };
 
 }  // namespace mdlsq::core

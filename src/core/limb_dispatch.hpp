@@ -84,32 +84,25 @@ struct variant_over<F, LimbList<Ns...>> {
 template <template <int> class F>
 using limb_variant_t = typename variant_over<F, SupportedLimbs>::type;
 
-// The default ladder: limb count doubles from start_limbs; if doubling
-// overshoots the cap the cap itself becomes the final rung (so
-// start 3 / cap 8 climbs 3 -> 6 -> 8).  Preserves the historical
-// d2 -> d4 -> d8 ladder exactly for power-of-two start/cap.
-inline std::vector<int> default_rungs(int start_limbs, int max_limbs) {
+// The default ladder for an nh-limb target: the limb count doubles from
+// d2; if doubling overshoots the target, the target itself becomes the
+// final rung (so a d6 target climbs 2 -> 4 -> 6, and a d1 target has the
+// one rung d1).  The historical d2 -> d4 -> d8 ladder for nh = 8.
+inline std::vector<int> default_rungs(int nh) {
   std::vector<int> r;
-  for (int l = start_limbs; l <= max_limbs; l *= 2) r.push_back(l);
-  if (r.empty() || r.back() != max_limbs) r.push_back(max_limbs);
+  for (int l = 2; l <= nh; l *= 2) r.push_back(l);
+  if (r.empty() || r.back() != nh) r.push_back(nh);
   return r;
 }
 
-// Validate and clip a user rung sequence against [start_limbs, max_limbs].
-// An empty sequence means the default doubling ladder.  A non-empty one
-// must be strictly increasing with every count instantiated; rungs
-// outside the window are dropped, and a sequence with no rung left in the
-// window is an error.  Throws std::invalid_argument on every violation.
-inline std::vector<int> resolve_rungs(const std::vector<int>& rungs,
-                                      int start_limbs, int max_limbs) {
-  if (start_limbs < 1)
-    throw std::invalid_argument("mdlsq: start_limbs must be >= 1, got " +
-                                std::to_string(start_limbs));
-  if (start_limbs > max_limbs)
-    throw std::invalid_argument(
-        "mdlsq: start_limbs " + std::to_string(start_limbs) +
-        " exceeds the ladder cap " + std::to_string(max_limbs));
-  if (rungs.empty()) return default_rungs(start_limbs, max_limbs);
+// The one ladder knob, resolved for an nh-limb target: an empty sequence
+// means the default doubling ladder; a non-empty one must be strictly
+// increasing with every count instantiated, and its rungs above nh are
+// dropped.  A sequence with no rung at or below nh is an error.  Every
+// driver takes its first and last rung from the result's front and
+// back.  Throws std::invalid_argument on every violation.
+inline std::vector<int> resolve_rungs(const std::vector<int>& rungs, int nh) {
+  if (rungs.empty()) return default_rungs(nh);
   std::vector<int> out;
   int prev = 0;
   for (const int l : rungs) {
@@ -122,12 +115,12 @@ inline std::vector<int> resolve_rungs(const std::vector<int>& rungs,
           "mdlsq: rung sequence contains uninstantiated limb count " +
           std::to_string(l));
     prev = l;
-    if (l >= start_limbs && l <= max_limbs) out.push_back(l);
+    if (l <= nh) out.push_back(l);
   }
   if (out.empty())
     throw std::invalid_argument(
-        "mdlsq: no rung of the sequence lies in [start_limbs, max_limbs] = [" +
-        std::to_string(start_limbs) + ", " + std::to_string(max_limbs) + "]");
+        "mdlsq: no rung of the sequence lies at or below the target's " +
+        std::to_string(nh) + " limbs");
   return out;
 }
 

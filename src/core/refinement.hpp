@@ -1,21 +1,18 @@
-// Mixed-precision iterative refinement for least squares.
+// The factor-reusing correction solve: mixed-precision iterative
+// refinement's inner step.  A QR factorization in a LOW multiple-double
+// precision (cheap, by the overhead factors of Table 1) combined with
+// residuals evaluated in a HIGH precision recovers the high-precision
+// solution in a few cheap sweeps — provided the conditioning fits inside
+// the low format.  Each sweep:
 //
-// An extension in the spirit of the paper's cost analysis: a QR
-// factorization in a LOW multiple-double precision (cheap, by the
-// overhead factors of Table 1) combined with residual evaluation in the
-// HIGH target precision recovers the high-precision solution in a few
-// cheap iterations — provided the conditioning fits inside the low
-// format.  Each iteration:
-//
-//     r  = b - A x                 (high precision)
+//     r  = b - A x                 (high precision, the caller's)
 //     dx = argmin || r - A dx ||   (reusing the low-precision factors)
 //     x += dx
 //
-// converges linearly with rate ~ kappa(A) * eps_low; the driver stops on
-// stagnation or when the correction falls below eps_high.
-//
-// The bench_ablation_refinement binary prices this against a direct
-// high-precision solve on the device model.
+// converges linearly with rate ~ kappa(A) * eps_low.  The one driver of
+// those sweeps is the adaptive precision ladder (adaptive_lsq.hpp, with
+// its stop rules in ladder.hpp); the path tracker's corrector runs the
+// same loop against its Jacobian's factors.
 //
 // The correction solve itself has one host body
 // (least_squares_with_factors, core/back_substitution.hpp) and one
@@ -27,18 +24,13 @@
 #pragma once
 
 #include <cassert>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "blas/gemm.hpp"
 #include "blas/panel.hpp"
 #include "core/back_substitution.hpp"
 #include "core/blocked_qr.hpp"
-#include "core/householder.hpp"
-#include "md/mdreal.hpp"
 
 namespace mdlsq::core {
 
@@ -154,62 +146,5 @@ struct ResidentQr {
     return t;
   }
 };
-
-template <int NH>
-struct RefinementResult {
-  blas::Vector<md::mdreal<NH>> x;
-  std::vector<double> residual_history;  // ||b - A x||_inf per iteration
-  int iterations = 0;
-  bool converged = false;
-};
-
-// Full driver: factor once in NL limbs, refine to NH limbs.
-template <int NL, int NH>
-RefinementResult<NH> refined_least_squares(
-    const blas::Matrix<md::mdreal<NH>>& a,
-    std::span<const md::mdreal<NH>> b, int max_iterations = 40) {
-  static_assert(NL < NH, "refinement needs a cheaper working precision");
-  using TH = md::mdreal<NH>;
-  using TL = md::mdreal<NL>;
-  const int m = a.rows(), c = a.cols();
-  assert(static_cast<int>(b.size()) == m);
-
-  // Factor once, in the cheap format.
-  blas::Matrix<TL> al(m, c);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < c; ++j) al(i, j) = a(i, j).template to_precision<NL>();
-  const QrFactors<TL> factors = householder_qr(al);
-
-  RefinementResult<NH> out;
-  out.x.assign(c, TH{});
-  double prev = std::numeric_limits<double>::infinity();
-  for (int it = 0; it < max_iterations; ++it) {
-    // High-precision residual.
-    auto ax = blas::gemv(a, std::span<const TH>(out.x));
-    blas::Vector<TH> r(m);
-    for (int i = 0; i < m; ++i) r[i] = b[i] - ax[i];
-    // For overdetermined systems the relevant residual is the gradient
-    // A^H r, which must vanish at the solution.
-    auto g = blas::gemv_adjoint(a, std::span<const TH>(r));
-    const double gnorm =
-        blas::norm_inf(std::span<const TH>(g)).to_double();
-    out.residual_history.push_back(gnorm);
-    out.iterations = it;
-    if (gnorm < TH::eps() * 16.0 * (1.0 + m)) {
-      out.converged = true;
-      break;
-    }
-    if (it > 2 && gnorm > prev * 0.5) break;  // stagnation: kappa too big
-    prev = gnorm;
-
-    // Cheap correction.
-    blas::Vector<TL> rl(m);
-    for (int i = 0; i < m; ++i) rl[i] = r[i].template to_precision<NL>();
-    auto dxl = least_squares_with_factors(factors, std::span<const TL>(rl));
-    for (int j = 0; j < c; ++j)
-      out.x[j] += dxl[j].template to_precision<NH>();
-  }
-  return out;
-}
 
 }  // namespace mdlsq::core

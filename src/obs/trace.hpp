@@ -44,8 +44,7 @@ namespace mdlsq::obs {
 // Span categories — the rows of the timeline.  One per architectural
 // layer: kernel/transfer/panel come from device/ and core/, ladder from
 // the adaptive precision ladder, step from the path tracker, queue/cache/
-// service from the solver daemon.  Nothing emits sched; it stays because
-// trace consumers read every category by name, and it reports 0.
+// service from the solver daemon.
 enum class Cat : std::uint8_t {
   kernel,
   transfer,
@@ -55,7 +54,6 @@ enum class Cat : std::uint8_t {
   queue,
   cache,
   service,
-  sched,
 };
 
 inline const char* name_of(Cat c) noexcept {
@@ -68,7 +66,6 @@ inline const char* name_of(Cat c) noexcept {
     case Cat::queue: return "queue";
     case Cat::cache: return "cache";
     case Cat::service: return "service";
-    case Cat::sched: return "sched";
   }
   return "?";
 }

@@ -11,7 +11,8 @@
 //     the per-path device tallies (integer counters, summed in path-index
 //     order);
 //   * LPT sharding — the greedy policy prices each path with the
-//     tracker's dry-run schedule (track_dry).
+//     tracker's dry-run schedule (track_dry), at the first rung of the
+//     same resolved ladder the path is tracked with.
 //
 // Sharding, host execution (one job per shard, one shared tile pool) and
 // the per-slot report rows are the shared batch runner's
@@ -19,8 +20,6 @@
 // driver; this driver adds the per-path report rows.
 #pragma once
 
-#include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -31,37 +30,13 @@
 
 namespace mdlsq::path {
 
-// One path of the batch.  In dry_run mode the homotopy stays empty and
-// only the dimensions drive the modeled schedule.
+// One path of the batch.
 template <int NH>
 struct TrackProblem {
-  std::optional<Homotopy<md::mdreal<NH>>> homotopy;
-  int m = 0;       // used when homotopy is empty (dry run)
-  int aterms = 1;
-  int bterms = 1;
-
-  int dim() const noexcept { return homotopy ? homotopy->dim() : m; }
-  int a_terms() const noexcept {
-    return homotopy ? homotopy->a_terms() : aterms;
-  }
-  int b_terms() const noexcept {
-    return homotopy ? homotopy->b_terms() : bterms;
-  }
+  Homotopy<md::mdreal<NH>> homotopy;
 
   static TrackProblem functional(Homotopy<md::mdreal<NH>> h) {
-    TrackProblem p;
-    p.m = h.dim();
-    p.aterms = h.a_terms();
-    p.bterms = h.b_terms();
-    p.homotopy.emplace(std::move(h));
-    return p;
-  }
-  static TrackProblem dry(int m, int aterms, int bterms) {
-    TrackProblem p;
-    p.m = m;
-    p.aterms = aterms;
-    p.bterms = bterms;
-    return p;
+    return {std::move(h)};
   }
 };
 
@@ -76,8 +51,7 @@ template <int NH>
 struct BatchedPathResult {
   int path = -1;
   int device = -1;           // pool slot the path was served by
-  TrackResult<NH> result;    // functional mode
-  TrackDryResult dry;        // dry-run mode
+  TrackResult<NH> result;
 };
 
 template <int NH>
@@ -88,28 +62,6 @@ struct BatchedTrackResult {
 };
 
 namespace detail {
-
-// Validation of the paths (thrown std::invalid_argument — these guards
-// sit on the service path and must survive NDEBUG).  Every path needs
-// positive dimensions and at least constant homotopy terms whether it
-// came from a real Homotopy (whose own ctor enforces this) or from
-// TrackProblem::dry, where nothing else checks; functional mode needs
-// the homotopies themselves.
-template <int NH>
-void validate_track_batch(const std::vector<TrackProblem<NH>>& problems,
-                          const BatchedTrackOptions& opt) {
-  for (const auto& p : problems) {
-    if (p.dim() < 1)
-      throw std::invalid_argument(
-          "mdlsq: batched_track paths need dimension >= 1");
-    if (p.a_terms() < 1 || p.b_terms() < 1)
-      throw std::invalid_argument(
-          "mdlsq: batched_track paths need at least constant A and b terms");
-    if (opt.mode == device::ExecMode::functional && !p.homotopy)
-      throw std::invalid_argument(
-          "mdlsq: functional batched_track needs homotopies");
-  }
-}
 
 // The per-path tracker options: the batch's tile-level execution engine
 // plus the batch-level rung override, so pricing and execution see the
@@ -132,20 +84,19 @@ BatchedTrackResult<NH> batched_track(
     const core::DevicePool& pool,
     const std::vector<TrackProblem<NH>>& problems,
     const BatchedTrackOptions& opt = {}) {
-  detail::validate_track_batch<NH>(problems, opt);
   const TrackOptions dry_opt = detail::path_track_options(opt, nullptr);
-  for (const auto& p : problems) check_track_options(p.dim(), dry_opt, NH);
+  for (const auto& p : problems)
+    check_track_options(p.homotopy.dim(), dry_opt, NH);
   BatchedTrackResult<NH> out;
   out.shards = core::assign_shards(
       pool, static_cast<int>(problems.size()), opt,
       [&](const device::DeviceSpec& spec, int i) {
-        const auto& p = problems[static_cast<std::size_t>(i)];
-        return track_dry(spec, p.dim(), p.a_terms(), p.b_terms(), dry_opt)
+        const auto& h = problems[static_cast<std::size_t>(i)].homotopy;
+        return track_dry<NH>(spec, h.dim(), h.a_terms(), h.b_terms(), dry_opt)
             .wall_ms;
       });
   out.paths.resize(problems.size());
 
-  const bool fn = opt.mode == device::ExecMode::functional;
   util::BatchReport& rep = out.report;
   rep.precision = md::Precision(NH);
   rep.pipeline = "tracker";
@@ -157,16 +108,10 @@ BatchedTrackResult<NH> batched_track(
         auto& r = out.paths[static_cast<std::size_t>(i)];
         r.path = i;
         r.device = slot;
-        if (fn) {
-          r.result = track<NH>(spec, *p.homotopy,
-                               detail::path_track_options(opt, tile_pool));
-          return core::ItemCost{r.result.device_analytic(),
-                                r.result.dp_gflop(), r.result.kernel_ms(),
-                                r.result.wall_ms()};
-        }
-        r.dry = track_dry(spec, p.dim(), p.a_terms(), p.b_terms(), dry_opt);
-        return core::ItemCost{r.dry.analytic, r.dry.dp_gflop,
-                              r.dry.kernel_ms, r.dry.wall_ms};
+        r.result = track<NH>(spec, p.homotopy,
+                             detail::path_track_options(opt, tile_pool));
+        return core::ItemCost{r.result.device_analytic(), r.result.dp_gflop(),
+                              r.result.kernel_ms(), r.result.wall_ms()};
       },
       rep);
 
@@ -175,20 +120,12 @@ BatchedTrackResult<NH> batched_track(
     util::BatchPathRow prow;
     prow.path = pr.path;
     prow.device = pr.device;
-    if (fn) {
-      prow.steps = static_cast<int>(pr.result.steps.size());
-      prow.correction_solves = pr.result.correction_solves();
-      prow.final_precision = pr.result.final_precision;
-      prow.converged = pr.result.converged;
-      prow.tally = pr.result.device_analytic();
-      prow.kernel_ms = pr.result.kernel_ms();
-    } else {
-      prow.steps = pr.dry.steps;
-      prow.final_precision = pr.dry.precision;
-      prow.converged = true;
-      prow.tally = pr.dry.analytic;
-      prow.kernel_ms = pr.dry.kernel_ms;
-    }
+    prow.steps = static_cast<int>(pr.result.steps.size());
+    prow.correction_solves = pr.result.correction_solves();
+    prow.final_precision = pr.result.final_precision;
+    prow.converged = pr.result.converged;
+    prow.tally = pr.result.device_analytic();
+    prow.kernel_ms = pr.result.kernel_ms();
     rep.paths.push_back(std::move(prow));
   }
   return out;

@@ -1,8 +1,8 @@
 // Truncated power-series arithmetic for the path-tracking subsystem
-// (DESIGN.md §7): series are plain coefficient vectors — scalar series
-// for the Padé machinery, vector series (one blas::Vector per order) for
-// the solution path x(t0 + s) = sum_k x_k s^k that the block Toeplitz
-// solver produces.
+// (DESIGN.md §7): vector series (one blas::Vector per order) for the
+// solution path x(t0 + s) = sum_k x_k s^k that the block Toeplitz solver
+// produces — the tracker's predictor evaluates them by Horner, and their
+// tail sets the step size.
 //
 // Every routine that executes multiple-double arithmetic has an
 // exactly-declared operation tally companion (md/op_counts.hpp /
@@ -13,52 +13,19 @@
 // .to_double() only and execute no counted operations.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "blas/matrix.hpp"
-#include "core/back_substitution.hpp"
 #include "core/tally_rules.hpp"
 
 namespace mdlsq::path {
 
 using core::operator*;  // OpTally scaling (core/tally_rules.hpp)
-
-// --- scalar series -----------------------------------------------------------
-
-// Truncated product c = a * b, keeping orders 0..trunc-1.  Each output
-// coefficient's sum runs in ascending index order (deterministic).
-template <class T>
-std::vector<T> series_mul(std::span<const T> a, std::span<const T> b,
-                          int trunc) {
-  std::vector<T> c(static_cast<std::size_t>(trunc), T{});
-  for (int k = 0; k < trunc; ++k) {
-    T s{};
-    for (int j = 0; j <= k; ++j) {
-      if (j >= static_cast<int>(a.size())) break;
-      if (k - j >= static_cast<int>(b.size())) continue;
-      s += a[static_cast<std::size_t>(j)] *
-           b[static_cast<std::size_t>(k - j)];
-    }
-    c[static_cast<std::size_t>(k)] = s;
-  }
-  return c;
-}
-
-// Horner evaluation of a scalar series at s = h.
-template <class T>
-T series_eval(std::span<const T> c, double h) {
-  if (c.empty()) return T{};
-  const T hs(h);
-  T x = c.back();
-  for (int k = static_cast<int>(c.size()) - 2; k >= 0; --k)
-    x = c[static_cast<std::size_t>(k)] + x * hs;
-  return x;
-}
 
 // --- vector series -----------------------------------------------------------
 
@@ -116,83 +83,6 @@ double pole_radius_estimate(const std::vector<blas::Vector<T>>& c) {
     if (prev > floor) return std::sqrt(prev / tail);
   }
   return inf;
-}
-
-// --- the Padé predictor ------------------------------------------------------
-
-// Evaluates the [K-M / M] Padé approximant of each component's series at
-// s = h; on a degenerate denominator system (the little Toeplitz solve is
-// singular or the result fails a residual sanity check) the component
-// falls back to the plain Horner value, so the predictor is total.  Host
-// arithmetic — the tracker tallies it as host work, like the residual and
-// acceptance arithmetic of the adaptive ladder (DESIGN.md §4).
-template <class T>
-blas::Vector<T> pade_eval(const std::vector<blas::Vector<T>>& c, int denom,
-                          double h) {
-  if (c.empty())
-    throw std::invalid_argument("mdlsq: pade_eval needs coefficients");
-  const int orders = static_cast<int>(c.size());
-  const int m = static_cast<int>(c[0].size());
-  const int M = std::min(denom, (orders - 1) / 2);
-  if (M < 1) return horner_eval(c, h);
-  const int L = orders - 1 - M;  // numerator degree
-
-  blas::Vector<T> out(static_cast<std::size_t>(m));
-  std::vector<T> comp(static_cast<std::size_t>(orders));
-  for (int i = 0; i < m; ++i) {
-    for (int k = 0; k < orders; ++k)
-      comp[static_cast<std::size_t>(k)] = c[static_cast<std::size_t>(k)][i];
-
-    // Toeplitz system for the denominator q (q_0 = 1):
-    //   sum_{j=1..M} c_{L+i-j} q_j = -c_{L+i},  i = 1..M.
-    blas::Matrix<T> toep(M, M);
-    blas::Vector<T> rhs(static_cast<std::size_t>(M));
-    for (int r = 1; r <= M; ++r) {
-      for (int j = 1; j <= M; ++j) {
-        const int idx = L + r - j;
-        toep(r - 1, j - 1) =
-            idx >= 0 ? comp[static_cast<std::size_t>(idx)] : T{};
-      }
-      rhs[static_cast<std::size_t>(r - 1)] =
-          -comp[static_cast<std::size_t>(L + r)];
-    }
-    auto q_tail = core::least_squares_host(toep, std::span<const T>(rhs));
-
-    // Residual sanity: a (near-)singular denominator system produces
-    // non-finite or inconsistent q; fall back to the series value.
-    bool ok = true;
-    double scale = 0.0, resid = 0.0;
-    for (int r = 0; r < M && ok; ++r) {
-      T s = rhs[static_cast<std::size_t>(r)];
-      for (int j = 0; j < M; ++j) s -= toep(r, j) * q_tail[static_cast<std::size_t>(j)];
-      if (!q_tail[static_cast<std::size_t>(r)].isfinite()) ok = false;
-      resid = std::max(resid, std::fabs(s.to_double()));
-      scale = std::max(scale,
-                       std::fabs(rhs[static_cast<std::size_t>(r)].to_double()));
-    }
-    if (ok && resid > std::sqrt(T::eps()) * std::max(scale, 1.0)) ok = false;
-
-    if (ok) {
-      std::vector<T> q(static_cast<std::size_t>(M + 1));
-      q[0] = T(1.0);
-      for (int j = 1; j <= M; ++j)
-        q[static_cast<std::size_t>(j)] = q_tail[static_cast<std::size_t>(j - 1)];
-      auto p = series_mul<T>(std::span<const T>(comp), std::span<const T>(q),
-                             L + 1);
-      const T qe = series_eval<T>(std::span<const T>(q), h);
-      if (!qe.is_zero()) {
-        const T val = series_eval<T>(std::span<const T>(p), h) / qe;
-        if (val.isfinite()) {
-          out[static_cast<std::size_t>(i)] = val;
-          continue;
-        }
-      }
-    }
-    // Fallback: Horner on this component.
-    out[static_cast<std::size_t>(i)] =
-        series_eval<T>(std::span<const T>(comp), h);
-  }
-  return out;
 }
 
 }  // namespace mdlsq::path

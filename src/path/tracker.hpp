@@ -7,8 +7,8 @@
 //     block Toeplitz recursion produces the Taylor coefficients of the
 //     solution path (core/block_toeplitz.hpp).  The series tail yields a
 //     pole-radius estimate (series.hpp) that sets the step size
-//     h = step_factor * radius, and the series (or its Padé approximant)
-//     is evaluated at h to predict x(t0 + h).
+//     h = step_factor * radius, and the series is evaluated at h (one
+//     priced Horner launch) to predict x(t0 + h).
 //
 //   corrector — Newton at t1 = t0 + h, REUSING the cached QR factors of
 //     the Jacobian at t0 (the factor-reusing correction solve of
@@ -19,15 +19,16 @@
 //     normwise backward error of the corrected point.
 //
 //   precision ladder — each step starts at the path's current precision
-//     (d2 by default) and escalates along the resolved rung sequence
-//     (the default doubling ladder d2 -> d4 -> d8, or a configured
-//     TrackOptions::rungs sequence such as {2, 3, 4, 6, 8}) only when the
-//     acceptance test fails at the rung's measurement floor: escalation
-//     first REFINES (residuals at the higher precision on the host,
-//     corrections on the cached lower-precision factors — exactly
-//     polish-style refinement), and only when the factors are exhausted
-//     (stagnation, or cond * eps(factors) beyond 1e-2) does the step
-//     restart with a factorization at the higher precision.  The reached
+//     (at first the resolved sequence's first rung, d2 by default) and
+//     escalates along that sequence (the default doubling ladder
+//     d2 -> d4 -> d8, or a configured TrackOptions::rungs sequence such
+//     as {2, 3, 4, 6, 8}) only when the acceptance test fails at the
+//     rung's measurement floor: escalation first REFINES (residuals at
+//     the higher precision on the host, corrections on the cached
+//     lower-precision factors — exactly polish-style refinement), and
+//     only when the factors are exhausted (stagnation, or
+//     cond * eps(factors) beyond 1e-2) does the step restart with a
+//     factorization at the higher precision.  The reached
 //     precision persists to later steps (conditioning along a path rarely
 //     relaxes), so a stiff path pays for d4 once and a benign path never
 //     does.  Every rung's accept / floor / stagnation decision is the
@@ -80,11 +81,10 @@ inline constexpr const char* eval_ab = "eval A,b";
 inline constexpr const char* residual = "track residual";
 }  // namespace stage
 
-enum class PredictorKind { series, pade };
-
 // Inherits the shared execution knobs (parallelism, tile_pool, rungs)
-// from core::ExecOptions; here `rungs` configures the per-step ladder
-// (validation and clipping semantics are core::resolve_rungs').
+// from core::ExecOptions; `rungs` is the per-step ladder's one knob — its
+// first rung starts the path and its last caps every step (validation
+// semantics are core::resolve_rungs').
 struct TrackOptions : core::ExecOptions {
   double t_start = 0.0;
   double t_end = 1.0;
@@ -92,10 +92,7 @@ struct TrackOptions : core::ExecOptions {
   double tol = 1e-20;
   int order = 8;              // series truncation order K (K+1 coefficients)
   int tile = 4;               // device pipeline tile (must divide the dim)
-  int start_limbs = 2;        // first rung of the per-step ladder
-  int max_limbs = 0;          // 0: the input type's limb count
   int max_steps = 256;
-  PredictorKind predictor = PredictorKind::series;
 };
 
 // Step-size control: h = step_factor * pole_radius, clamped to
@@ -105,8 +102,6 @@ inline constexpr double step_factor = 0.25;
 inline constexpr double max_step = 0.25;
 inline constexpr double min_step = 1e-8;
 inline constexpr int max_halvings = 8;
-// Denominator degree of the Padé predictor.
-inline constexpr int pade_denominator = 1;
 // Corrector budget per rung.
 inline constexpr int corrector_iter_cap = 40;
 // Steps, and correction rounds per step, of the dry-run pricing's
@@ -116,11 +111,10 @@ inline constexpr int dry_corrector_rounds = 2;
 
 // The option contract of track() for a homotopy of dimension `dim` at
 // target precision `nh` limbs: a tile dividing the dimension, order >= 1,
-// a nonempty interval, start_limbs within the ladder and a rung sequence
-// core::resolve_rungs accepts.  Throws std::invalid_argument on a
-// violation and returns the resolved rung sequence.  submit() and
-// batched_track call it too, so a malformed track is refused before any
-// pricing.
+// a nonempty interval and a rung sequence core::resolve_rungs accepts.
+// Throws std::invalid_argument on a violation and returns the resolved
+// rung sequence.  submit(), batched_track and track_dry call it too, so
+// a malformed track is refused before any pricing.
 inline std::vector<int> check_track_options(int dim, const TrackOptions& opt,
                                             int nh) {
   if (opt.tile < 1 || dim % opt.tile != 0)
@@ -133,11 +127,7 @@ inline std::vector<int> check_track_options(int dim, const TrackOptions& opt,
   if (!(opt.t_end > opt.t_start + 1e-12))
     throw std::invalid_argument(
         "mdlsq: track requires t_end > t_start (by more than 1e-12)");
-  const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, nh) : nh;
-  if (opt.start_limbs < 1 || opt.start_limbs > maxl)
-    throw std::invalid_argument(
-        "mdlsq: track start_limbs must lie within the ladder");
-  return core::resolve_rungs(opt.rungs, opt.start_limbs, maxl);
+  return core::resolve_rungs(opt.rungs, nh);
 }
 
 // One accepted (or abandoned) step of the tracker.
@@ -174,11 +164,6 @@ struct StepStats {
     for (const auto& r : rungs) t += r.measured;
     return t;
   }
-  md::OpTally host_ops() const noexcept {
-    md::OpTally t;
-    for (const auto& r : rungs) t += r.host_ops;
-    return t;
-  }
   double dp_gflop() const noexcept {
     double f = 0;
     for (const auto& r : rungs) f += r.dp_gflop();
@@ -212,11 +197,6 @@ struct TrackResult {
   md::OpTally device_measured() const noexcept {
     md::OpTally t;
     for (const auto& s : steps) t += s.measured();
-    return t;
-  }
-  md::OpTally host_ops() const noexcept {
-    md::OpTally t;
-    for (const auto& s : steps) t += s.host_ops();
     return t;
   }
   double dp_gflop() const noexcept {
@@ -293,13 +273,13 @@ void launch_residual(device::Device& dev, int m, int tile, Body&& body) {
 
 enum class StepVerdict {
   accepted,        // step committed
-  restart_higher,  // redo the whole step, factoring at restart_limbs
+  restart_higher,  // redo the whole step, factoring at restart_rung
   failed,          // step size collapsed, ladder exhausted, or non-finite
 };
 
 struct StepOutcome {
   StepVerdict verdict = StepVerdict::failed;
-  int restart_limbs = 0;   // valid for restart_higher
+  int restart_rung = 0;    // valid for restart_higher
   int accepted_limbs = 0;  // precision of the accepting rung
   double h = 0.0;          // accepted step size
 };
@@ -372,29 +352,30 @@ core::RungExit polish_rung(const device::DeviceSpec& spec,
 }
 
 // The escalation ladder after the first rung: refine at each higher rung
-// of the resolved sequence while the cached FL factors can still
-// contract; a stagnating refinement restarts the step at the offending
-// precision with a fresh factorization.  The contraction-rate gate
-// must_refactor(cond, FL) depends only on the factor precision, so it is
-// invariant across rungs: when the factors cannot contract, the step
-// restarts at the first rung above them.  Running out of rungs exhausts
-// the ladder, and a non-finite measurement fails the step (failed).
+// of the resolved sequence (which ends at or below NH) while the cached
+// FL factors can still contract; a stagnating refinement restarts the
+// step at the offending precision with a fresh factorization.  The
+// contraction-rate gate must_refactor(cond, FL) depends only on the
+// factor precision, so it is invariant across rungs: when the factors
+// cannot contract, the step restarts at the first rung above them.
+// Running out of rungs exhausts the ladder, and a non-finite measurement
+// fails the step (failed).
 template <int FL, int NH>
 StepOutcome escalate_ladder(
     const device::DeviceSpec& spec, const Homotopy<md::mdreal<NH>>& h,
     const core::BlockToeplitzSolver<md::mdreal<FL>>& slv, double t1,
-    double cond, double h_step, int maxl, const std::vector<int>& rungs,
+    double cond, double h_step, const std::vector<int>& rungs,
     blas::Vector<md::mdreal<NH>>& xw, const TrackOptions& opt, StepStats& st) {
   for (const int p : rungs) {
-    if (p <= FL || p > maxl) continue;
+    if (p <= FL) continue;
     if (core::must_refactor(cond, FL))
       return {StepVerdict::restart_higher, p, 0, 0.0};
     core::RungExit exit = core::RungExit::stagnated;
     util::RungStats rs;
     core::with_limbs(p, [&](auto tag) {
       constexpr int P = decltype(tag)::limbs;
-      // p lies in (FL, maxl] with maxl <= NH; the guard only prunes
-      // impossible instantiations.
+      // p lies in (FL, NH]; the guard only prunes impossible
+      // instantiations.
       if constexpr (FL <= P && P <= NH)
         exit = polish_rung<FL, P, NH>(spec, h, slv, t1, cond, xw, opt, st, rs);
     });
@@ -418,7 +399,7 @@ StepOutcome escalate_ladder(
 template <int L, int NH>
 StepOutcome run_step_at(const device::DeviceSpec& spec,
                         const Homotopy<md::mdreal<NH>>& h, double t0,
-                        int maxl, const std::vector<int>& rungs,
+                        const std::vector<int>& rungs,
                         blas::Vector<md::mdreal<NH>>& x_out,
                         const TrackOptions& opt, StepStats& st) {
   static_assert(L <= NH);
@@ -474,16 +455,10 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
     blas::Matrix<TL> a1;
     blas::Vector<TL> b1;
     {
-      // Predict x(t1) from the series (launched) or its Padé approximant
-      // (host arithmetic, tallied like the ladder's acceptance work).
+      // Predict x(t1) from the series.
       obs::Span predict_span("predictor", obs::Cat::step, L);
-      if (opt.predictor == PredictorKind::series) {
-        launch_predict<TL>(dev, m, orders, opt.tile,
-                           [&] { xp = horner_eval(xs, hs); });
-      } else {
-        md::ScopedTally host_scope(rs.host_ops);
-        xp = pade_eval(xs, pade_denominator, hs);
-      }
+      launch_predict<TL>(dev, m, orders, opt.tile,
+                         [&] { xp = horner_eval(xs, hs); });
       // A(t1), b(t1) for the corrector.
       launch_eval_ab<TL>(dev, m, aterms, bterms, opt.tile, [&] {
         a1 = hl.a_at(t1);
@@ -556,7 +531,7 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
     case core::RungExit::floor: {
       // Precision-limited: climb the ladder on the cached factors.
       StepOutcome out = escalate_ladder<L, NH>(spec, h, solver, t1, cond, hs,
-                                               maxl, rungs, xw, opt, st);
+                                               rungs, xw, opt, st);
       if (out.verdict == StepVerdict::accepted) x_out = std::move(xw);
       return out;
     }
@@ -570,15 +545,14 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
 }  // namespace detail
 
 // The tracker driver.  The homotopy lives at the target precision NH; the
-// per-step ladder starts at opt.start_limbs (or the precision an earlier
-// step escalated to) and never exceeds min(opt.max_limbs, NH).
+// per-step ladder starts at the resolved sequence's first rung (or the
+// precision an earlier step escalated to) and never exceeds its last.
 template <int NH>
 TrackResult<NH> track(const device::DeviceSpec& spec,
                       const Homotopy<md::mdreal<NH>>& h,
                       const TrackOptions& opt = {}) {
   static_assert(NH >= 1, "mdreal needs at least one limb");
   const std::vector<int> rungs = check_track_options(h.dim(), opt, NH);
-  const int maxl = opt.max_limbs > 0 ? std::min(opt.max_limbs, NH) : NH;
 
   // A standalone call with parallelism but no shared pool owns one for
   // the track's duration (batched_tracker hands in its shared pool).
@@ -592,7 +566,7 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
   TrackResult<NH> out;
   out.x.assign(static_cast<std::size_t>(h.dim()), md::mdreal<NH>{});
   double t = topt.t_start;
-  int cur = rungs.front();  // first rung >= start_limbs of the sequence
+  int cur = rungs.front();
   bool ok = true;
 
   while (ok && t < topt.t_end - 1e-14 &&
@@ -607,13 +581,15 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
       core::detail::with_limbs(cur, [&](auto tag) {
         constexpr int L = decltype(tag)::limbs;
         if constexpr (L <= NH) {
-          outcome = detail::run_step_at<L, NH>(spec, h, t, maxl, rungs, out.x,
+          outcome = detail::run_step_at<L, NH>(spec, h, t, rungs, out.x,
                                                topt, st);
         }
       });
+      // A restart rung comes from the resolved sequence, so it never
+      // exceeds the last rung.
       if (outcome.verdict == detail::StepVerdict::restart_higher &&
-          outcome.restart_limbs <= maxl && outcome.restart_limbs > cur) {
-        cur = outcome.restart_limbs;
+          outcome.restart_rung > cur) {
+        cur = outcome.restart_rung;
         continue;  // redo the step, factoring at the escalated precision
       }
       break;
@@ -644,15 +620,11 @@ TrackResult<NH> track(const device::DeviceSpec& spec,
 // then per predictor evaluation one predict + one A,b launch, and the
 // corrector's residual launches and correction solves.  A functional step
 // that stayed on its first rung walks exactly this schedule (pinned by
-// tests/test_path_tracker.cpp).  The Padé predictor runs on the host
-// (tallied as host work), so its steps issue only the A,b launch per
-// predictor evaluation — pass the tracked predictor kind so the replay
-// matches.
+// tests/test_path_tracker.cpp).
 template <class T>
 void track_step_dry(device::Device& dev, int m, int aterms, int bterms,
                     int order, int tile, int predict_evals,
-                    int residual_evals, int correction_solves,
-                    PredictorKind predictor = PredictorKind::series) {
+                    int residual_evals, int correction_solves) {
   const int orders = order + 1;
   detail::launch_recenter<T>(dev, m, aterms, bterms, orders, tile, [] {});
   core::BlockToeplitzSolver<T>::factor_dry(dev, m, tile);
@@ -660,8 +632,7 @@ void track_step_dry(device::Device& dev, int m, int aterms, int bterms,
       dev, m, tile, 8 * std::int64_t(blas::scalar_traits<T>::limbs), [] {});
   core::BlockToeplitzSolver<T>::solve_series_dry(dev, m, aterms, orders, tile);
   for (int e = 0; e < predict_evals; ++e) {
-    if (predictor == PredictorKind::series)
-      detail::launch_predict<T>(dev, m, orders, tile, [] {});
+    detail::launch_predict<T>(dev, m, orders, tile, [] {});
     detail::launch_eval_ab<T>(dev, m, aterms, bterms, tile, [] {});
   }
   for (int i = 0; i < residual_evals; ++i)
@@ -670,40 +641,39 @@ void track_step_dry(device::Device& dev, int m, int aterms, int bterms,
     core::correction_solve_dry<T>(dev, m, m, tile);
 }
 
-// Expected-schedule price of a whole path for the sharding policies:
-// dry_steps steps at the starting precision, each with one predictor
-// evaluation and dry_corrector_rounds correction rounds.  Escalations and
-// halvings are data-dependent, so this is a model, not a replay — the
-// same contract as adaptive_least_squares_dry (DESIGN.md §4).
+// Expected-schedule price of a whole path at target precision NH for the
+// sharding policies and service admission: dry_steps steps at the first
+// rung of the resolved sequence (the precision track() starts at), each
+// with one predictor evaluation and dry_corrector_rounds correction
+// rounds.  Escalations and halvings are data-dependent, so this is a
+// model, not a replay — the same contract as adaptive_least_squares_dry
+// (DESIGN.md §4).  The options are held to track()'s contract
+// (check_track_options), so a malformed track is never priced.
 struct TrackDryResult {
   md::Precision precision = md::Precision::d2;
-  int steps = 0;
   md::OpTally analytic;
   std::int64_t launches = 0;
   double kernel_ms = 0.0;
   double wall_ms = 0.0;
-  double dp_gflop = 0.0;
 };
 
-inline TrackDryResult track_dry(const device::DeviceSpec& spec, int m,
-                                int aterms, int bterms,
-                                const TrackOptions& opt = {}) {
+template <int NH>
+TrackDryResult track_dry(const device::DeviceSpec& spec, int m, int aterms,
+                         int bterms, const TrackOptions& opt = {}) {
+  const int first = check_track_options(m, opt, NH).front();
   TrackDryResult out;
-  core::detail::with_limbs(opt.start_limbs, [&](auto tag) {
+  core::detail::with_limbs(first, [&](auto tag) {
     using TL = decltype(tag);
     device::Device dev(spec, md::Precision(TL::limbs),
                        device::ExecMode::dry_run);
     for (int s = 0; s < dry_steps; ++s)
       track_step_dry<TL>(dev, m, aterms, bterms, opt.order, opt.tile, 1,
-                         dry_corrector_rounds + 1, dry_corrector_rounds,
-                         opt.predictor);
+                         dry_corrector_rounds + 1, dry_corrector_rounds);
     out.precision = md::Precision(TL::limbs);
-    out.steps = dry_steps;
     out.analytic = dev.analytic_total();
     out.launches = dev.launches();
     out.kernel_ms = dev.kernel_ms();
     out.wall_ms = dev.wall_ms();
-    out.dp_gflop = out.analytic.dp_flops(out.precision) * 1e-9;
   });
   return out;
 }

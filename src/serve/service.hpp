@@ -2,8 +2,9 @@
 // core::DevicePool that turns the repo's one-shot drivers into a
 // long-running, admission-controlled, fair-share request server.
 //
-//   admission control — submit() prices every request with the existing
-//     dry-run pricers (least_squares_dry, adaptive_least_squares_dry,
+//   admission control — submit() prices every request with the dry-run
+//     walk of the pipeline it runs cold (the resident pipeline
+//     core::least_squares_resident_run, adaptive_least_squares_dry,
 //     track_dry) against the pool's first slot and rejects WITH A REASON
 //     when the queue depth or the modeled-cost backlog would exceed the
 //     configured limits.  Rejection is a Response (the future resolves
@@ -323,12 +324,15 @@ class SolverService {
 
   // Admission price: the modeled wall time of the job's dry-run schedule
   // against the pool's first slot (heterogeneous pools are priced at
-  // slot 0; fairness only needs a consistent currency).
+  // slot 0; fairness only needs a consistent currency).  An LsqJob is
+  // priced as a miss: the resident pipeline's walk, which is exactly
+  // what a cold job on that spec costs (a hit costs less).
   double price(const Request<NH>& req) const {
     const device::DeviceSpec& spec = *pool_.slots[0];
     if (const auto* j = std::get_if<LsqJob<NH>>(&req.job)) {
       device::Device dev(spec, md::Precision(NH), device::ExecMode::dry_run);
-      core::least_squares_dry<T>(dev, j->a.rows(), j->a.cols(), j->tile);
+      core::least_squares_resident_run<T>(dev, nullptr, nullptr, j->a.rows(),
+                                          j->a.cols(), j->tile);
       return dev.wall_ms();
     }
     if (const auto* aj = std::get_if<AdaptiveLsqJob<NH>>(&req.job))
@@ -336,8 +340,8 @@ class SolverService {
                                                  aj->a.cols(), aj->opt)
           .wall_ms();
     const auto& tj = std::get<TrackJob<NH>>(req.job);
-    return path::track_dry(spec, tj.h.dim(), tj.h.a_terms(), tj.h.b_terms(),
-                           tj.opt)
+    return path::track_dry<NH>(spec, tj.h.dim(), tj.h.a_terms(),
+                               tj.h.b_terms(), tj.opt)
         .wall_ms;
   }
 

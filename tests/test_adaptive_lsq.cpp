@@ -698,27 +698,27 @@ TEST(BatchedAdaptive, TallyConservationWithMixedRungs) {
             static_cast<int>(batch.size()));
 }
 
-TEST(BatchedAdaptive, DryBatchPricesTheLadder) {
-  std::vector<BatchProblem<md::od_real>> batch;
-  batch.push_back(BatchProblem<md::od_real>::dry(64, 48));
-  batch.push_back(BatchProblem<md::od_real>::dry(32, 16));
+TEST(BatchedAdaptive, LptPricesTheLadderBelowAlwaysD8) {
+  // The shard assigner prices an adaptive problem with the ladder's dry
+  // schedule, which undercuts the same problem priced always-d8.
+  std::mt19937_64 gen(37);
   BatchedLsqOptions opt = adaptive_batch_options();
-  opt.mode = device::ExecMode::dry_run;
-  auto pool = DevicePool::homogeneous(device::volta_v100(), 2);
-  auto res = core::batched_least_squares<md::od_real>(pool, batch, opt);
-  for (const auto& p : res.problems) {
-    EXPECT_TRUE(p.x.empty());
-    EXPECT_EQ(p.rungs.size(), 3u);
-    EXPECT_GT(p.kernel_ms, 0.0);
-    EXPECT_EQ(p.measured.md_ops(), 0);
-  }
-  EXPECT_EQ(res.report.pipeline, "adaptive");
-  EXPECT_FALSE(res.report.rungs.empty());
-  // The adaptive dry price undercuts the same batch priced always-d8.
   BatchedLsqOptions d8 = opt;
   d8.pipeline = BatchPipeline::direct;
-  auto res8 = core::batched_least_squares<md::od_real>(pool, batch, d8);
-  EXPECT_LT(res.report.makespan_ms, res8.report.makespan_ms);
+  for (const auto& [m, c] : {std::pair{64, 48}, std::pair{32, 16}}) {
+    const auto p = BatchProblem<md::od_real>::functional(
+        blas::random_matrix<md::od_real>(m, c, gen),
+        blas::random_vector<md::od_real>(m, gen));
+    AdaptiveOptions aopt = opt.adaptive;
+    aopt.tile = opt.tile;
+    const auto& spec = device::volta_v100();
+    const double ladder = core::detail::modeled_wall_ms(spec, p, opt);
+    EXPECT_EQ(ladder,
+              core::adaptive_least_squares_dry<md::od_real>(spec, m, c, aopt)
+                  .wall_ms());
+    EXPECT_LT(ladder, core::detail::modeled_wall_ms(spec, p, d8))
+        << m << "x" << c;
+  }
 }
 
 TEST(BatchedAdaptive, ReportPrintsEscalationTable) {

@@ -2,8 +2,8 @@
 // sequential single-problem solves, determinism across pool widths and
 // sharding policies, tally conservation, the 8-problems-on-4-devices
 // sharding contract, greedy load balancing and the shared LPT assigner's
-// sort key, dry-run batches, thrown validation errors, and the host
-// thread pool underneath it all.
+// sort key, every direct item's wall time equal to its LPT price, thrown
+// validation errors, and the host thread pool underneath it all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -221,29 +221,32 @@ TEST(BatchedLsq, GreedyPolicyBeatsRoundRobinOnSkewedBatch) {
   EXPECT_TRUE(greedy.report.tally == rr.report.tally);
 }
 
-TEST(BatchedLsq, DryRunBatchPricesIdenticalSchedule) {
+// A direct item runs the resident pipeline (A, b in, x out; the factors
+// are never unstaged), and the LPT pricer walks that same schedule dry,
+// so every item's modeled wall time is exactly its price.  Against the
+// least_squares pipeline, which also unstages Q and R, only the transfer
+// differs: same answer, tallies and kernel time.
+TEST(BatchedLsq, DirectItemWallEqualsItsLptPrice) {
   using T = md::qd_real;
-  auto fbatch = make_batch<T>(4, 99);
-  std::vector<BatchProblem<T>> dbatch;
-  for (const auto& p : fbatch)
-    dbatch.push_back(BatchProblem<T>::dry(p.a.rows(), p.a.cols()));
-
-  BatchedLsqOptions fopt;
-  fopt.tile = kTile;
-  auto pool = DevicePool::homogeneous(device::volta_v100(), 2);
-  auto fres = core::batched_least_squares<T>(pool, fbatch, fopt);
-
-  BatchedLsqOptions dopt;
-  dopt.tile = kTile;
-  dopt.mode = device::ExecMode::dry_run;
-  auto dres = core::batched_least_squares<T>(pool, dbatch, dopt);
-
-  EXPECT_TRUE(dres.report.tally == fres.report.tally);
-  EXPECT_DOUBLE_EQ(dres.report.kernel_ms, fres.report.kernel_ms);
-  EXPECT_DOUBLE_EQ(dres.report.makespan_ms, fres.report.makespan_ms);
-  for (const auto& p : dres.problems) {
-    EXPECT_TRUE(p.x.empty());
-    EXPECT_EQ(p.measured.md_ops(), 0);
+  auto batch = make_batch<T>(4, 99);
+  auto seq = sequential_solves<T>(batch);
+  core::DevicePool pool;
+  pool.slots = {&device::volta_v100(), &device::geforce_rtx2080()};
+  BatchedLsqOptions opt;
+  opt.tile = kTile;
+  opt.policy = ShardPolicy::greedy_by_modeled_time;
+  auto res = core::batched_least_squares<T>(pool, batch, opt);
+  for (const auto& p : res.problems) {
+    const auto i = static_cast<std::size_t>(p.problem);
+    const auto& spec = *pool.slots[static_cast<std::size_t>(p.device)];
+    EXPECT_EQ(p.wall_ms, core::detail::modeled_wall_ms<T>(spec, batch[i], opt))
+        << "problem " << i;
+    if (p.device == 0) {  // the sequential baseline ran on the V100
+      EXPECT_TRUE(bitwise_equal(p.x, seq[i].x));
+      EXPECT_TRUE(p.analytic == seq[i].analytic);
+      EXPECT_DOUBLE_EQ(p.kernel_ms, seq[i].kernel_ms);
+      EXPECT_LT(p.wall_ms, seq[i].wall_ms);
+    }
   }
 }
 
@@ -301,19 +304,22 @@ TEST(BatchedLsq, BadProblemShapeThrowsNamingItsIndex) {
   for (ShardPolicy policy :
        {ShardPolicy::round_robin, ShardPolicy::greedy_by_modeled_time}) {
     opt.policy = policy;
-    opt.mode = device::ExecMode::functional;
     auto batch = make_batch<T>(4, 29);
     batch[1].b.pop_back();  // short right-hand side
     expect_names(batch, opt, "problem 1");
 
-    opt.mode = device::ExecMode::dry_run;
-    std::vector<BatchProblem<T>> dry = {
-        BatchProblem<T>::dry(16, 8), BatchProblem<T>::dry(16, 8),
-        BatchProblem<T>::dry(16, 6),  // cols not a multiple of the tile
-        BatchProblem<T>::dry(4, 8)};  // rows < cols
-    expect_names(dry, opt, "problem 2");
-    dry[2] = BatchProblem<T>::dry(16, 8);
-    expect_names(dry, opt, "problem 3");
+    std::mt19937_64 gen(31);
+    auto problem = [&](int m, int c) {
+      return BatchProblem<T>::functional(blas::random_matrix<T>(m, c, gen),
+                                         blas::random_vector<T>(m, gen));
+    };
+    std::vector<BatchProblem<T>> bad = {
+        problem(16, 8), problem(16, 8),
+        problem(16, 6),  // cols not a multiple of the tile
+        problem(4, 8)};  // rows < cols
+    expect_names(bad, opt, "problem 2");
+    bad[2] = problem(16, 8);
+    expect_names(bad, opt, "problem 3");
   }
 }
 

@@ -10,7 +10,7 @@
 #include "blas/norms.hpp"
 #include "core/least_squares.hpp"
 #include "core/back_substitution.hpp"
-#include "core/refinement.hpp"
+#include "core/adaptive_lsq.hpp"
 
 using namespace mdlsq;
 using mdlsq::md::mdreal;
@@ -66,9 +66,16 @@ TEST(Integration, RefinementMatchesDirectHighPrecision) {
   device::Device dev(device::volta_v100(), md::Precision::d4,
                      device::ExecMode::functional);
   auto direct = core::least_squares(dev, a, b, 10).x;
+  // Factor at d2, refine at d4: the ladder as the refinement driver.
+  core::AdaptiveOptions opt;
+  opt.rungs = {2, 4};
+  opt.tol = 1e-58;
+  opt.tile = 10;
   auto refined =
-      core::refined_least_squares<2, 4>(a, std::span<const mdreal<4>>(b));
+      core::adaptive_least_squares<4>(device::volta_v100(), a, b, opt);
   ASSERT_TRUE(refined.converged);
+  ASSERT_EQ(refined.rungs.size(), 2u);
+  EXPECT_FALSE(refined.rungs[1].refactorized);
   for (int i = 0; i < c; ++i)
     EXPECT_LE(std::fabs((direct[i] - refined.x[i]).to_double()),
               1e6 * mdreal<4>::eps());

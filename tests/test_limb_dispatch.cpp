@@ -58,31 +58,35 @@ TEST(WithLimbs, ThrowsInsteadOfSilentlySkippingTheCallable) {
 // --- rung sequences ---------------------------------------------------------
 
 TEST(Rungs, DefaultLadderDoublesAndLandsOnTheCap) {
-  EXPECT_EQ(default_rungs(2, 8), (std::vector<int>{2, 4, 8}));
-  EXPECT_EQ(default_rungs(2, 2), (std::vector<int>{2}));
-  EXPECT_EQ(default_rungs(1, 8), (std::vector<int>{1, 2, 4, 8}));
-  // Doubling that overshoots the cap appends the cap as the final rung.
-  EXPECT_EQ(default_rungs(2, 6), (std::vector<int>{2, 4, 6}));
-  EXPECT_EQ(default_rungs(3, 8), (std::vector<int>{3, 6, 8}));
+  EXPECT_EQ(default_rungs(8), (std::vector<int>{2, 4, 8}));
+  EXPECT_EQ(default_rungs(2), (std::vector<int>{2}));
+  EXPECT_EQ(default_rungs(16), (std::vector<int>{2, 4, 8, 16}));
+  // Doubling that overshoots the target appends it as the final rung.
+  EXPECT_EQ(default_rungs(6), (std::vector<int>{2, 4, 6}));
+  EXPECT_EQ(default_rungs(3), (std::vector<int>{2, 3}));
+  EXPECT_EQ(default_rungs(1), (std::vector<int>{1}));
 }
 
 TEST(Rungs, EmptySequenceResolvesToTheDefaultLadder) {
-  EXPECT_EQ(resolve_rungs({}, 2, 8), (std::vector<int>{2, 4, 8}));
+  EXPECT_EQ(resolve_rungs({}, 8), (std::vector<int>{2, 4, 8}));
 }
 
-TEST(Rungs, ExplicitSequenceIsClippedToTheWindow) {
-  EXPECT_EQ(resolve_rungs({1, 2, 3, 4, 6, 8}, 2, 6),
-            (std::vector<int>{2, 3, 4, 6}));
-  EXPECT_EQ(resolve_rungs({2, 3}, 2, 8), (std::vector<int>{2, 3}));
+TEST(Rungs, ExplicitSequenceDropsRungsAboveTheTarget) {
+  EXPECT_EQ(resolve_rungs({1, 2, 3, 4, 6, 8}, 6),
+            (std::vector<int>{1, 2, 3, 4, 6}));
+  EXPECT_EQ(resolve_rungs({2, 3}, 8), (std::vector<int>{2, 3}));
+  EXPECT_EQ(resolve_rungs({4, 16}, 8), (std::vector<int>{4}));
 }
 
 TEST(Rungs, InvalidSequencesThrow) {
-  EXPECT_THROW(resolve_rungs({4, 2}, 2, 8), std::invalid_argument);   // order
-  EXPECT_THROW(resolve_rungs({2, 2}, 2, 8), std::invalid_argument);   // strict
-  EXPECT_THROW(resolve_rungs({2, 7}, 2, 8), std::invalid_argument);   // count
-  EXPECT_THROW(resolve_rungs({16}, 2, 8), std::invalid_argument);     // window
-  EXPECT_THROW(resolve_rungs({}, 4, 2), std::invalid_argument);       // cap
-  EXPECT_THROW(resolve_rungs({}, 0, 8), std::invalid_argument);       // start
+  EXPECT_THROW(resolve_rungs({4, 2}, 8), std::invalid_argument);   // order
+  EXPECT_THROW(resolve_rungs({2, 2}, 8), std::invalid_argument);   // strict
+  EXPECT_THROW(resolve_rungs({2, 7}, 8), std::invalid_argument);   // count
+  EXPECT_THROW(resolve_rungs({16}, 8), std::invalid_argument);     // target
+  // A ladder that starts above the target, or at a non-positive count.
+  EXPECT_THROW(resolve_rungs({4, 8}, 2), std::invalid_argument);
+  EXPECT_THROW(resolve_rungs({0, 8}, 8), std::invalid_argument);
+  EXPECT_THROW(resolve_rungs({-1}, 8), std::invalid_argument);
 }
 
 // --- eps_of_limbs -----------------------------------------------------------
@@ -141,7 +145,7 @@ TEST(EntryPointValidation, AdaptiveLsqThrowsOnBadShapesAndRungs) {
                std::invalid_argument);
   core::AdaptiveOptions bad_start;
   bad_start.tile = 4;
-  bad_start.start_limbs = 4;  // exceeds NH = 2
+  bad_start.rungs = {4, 8};  // starts above NH = 2
   EXPECT_THROW(core::adaptive_least_squares<2>(spec, a, b, bad_start),
                std::invalid_argument);
   EXPECT_THROW(

@@ -3,9 +3,11 @@
 // against analytic paths over a conformance-style sweep, the escalation
 // pin (a stiff path must climb to d4 while a benign one stays at d2), a
 // NaN coefficient that must fail the path instead of converging,
-// dry-run/functional schedule equivalence, tally conservation sequential
-// vs parallelism=4 vs batched, and batched tracking limb-identical to
-// sequential with exactly conserved tallies across shards.
+// dry-run/functional schedule equivalence, the whole-path price at the
+// ladder's first rung (which LPT sharding ranks by), tally conservation
+// sequential vs parallelism=4 vs batched, and batched tracking
+// limb-identical to sequential with exactly conserved tallies across
+// shards.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -79,20 +81,6 @@ TEST_F(SeriesTally, HornerOperationCountMatchesDeclaredFormula) {
   }
 }
 
-TEST(Series, MulAndEvalAgainstManualExpansion) {
-  using T = md::qd_real;
-  // (1 + 2s)(3 + s + s^2) = 3 + 7s + 3s^2 + 2s^3
-  std::vector<T> a{T(1.0), T(2.0)};
-  std::vector<T> b{T(3.0), T(1.0), T(1.0)};
-  auto c = path::series_mul<T>(std::span<const T>(a), std::span<const T>(b), 4);
-  EXPECT_NEAR(c[0].to_double(), 3.0, 1e-30);
-  EXPECT_NEAR(c[1].to_double(), 7.0, 1e-30);
-  EXPECT_NEAR(c[2].to_double(), 3.0, 1e-30);
-  EXPECT_NEAR(c[3].to_double(), 2.0, 1e-30);
-  const double v = path::series_eval<T>(std::span<const T>(c), 0.5).to_double();
-  EXPECT_NEAR(v, 3.0 + 3.5 + 0.75 + 0.25, 1e-28);
-}
-
 TEST(Series, PoleRadiusRatioEstimate) {
   using T = md::qd_real;
   // Geometric coefficients v / rho^k: the ratio estimate is exactly rho.
@@ -124,28 +112,6 @@ TEST(Series, PoleRadiusRatioEstimate) {
     even.push_back(std::move(ck));
   }
   EXPECT_NEAR(path::pole_radius_estimate(even), 3.0, 1e-9);
-}
-
-TEST(Series, PadePredictorBeatsSeriesNearThePole) {
-  using T = md::qd_real;
-  blas::Vector<T> v;
-  auto h = rational_homotopy<4>(8, 2.0, 0x9a7e, &v);
-  auto dev = test_support::make_dev<T>(device::ExecMode::functional);
-  auto xs = path::taylor_series<T>(dev, h, 0.0, 8, 4);
-  const double hh = 1.6;  // 80% of the radius: the series barely converges
-  auto ps = path::horner_eval(xs, hh);
-  auto pp = path::pade_eval(xs, 1, hh);
-  double es = 0, ep = 0;
-  for (int i = 0; i < 8; ++i) {
-    const T want = v[static_cast<std::size_t>(i)] / T(1.0 - hh / 2.0);
-    es = std::max(es, std::fabs((ps[static_cast<std::size_t>(i)] - want).to_double()));
-    ep = std::max(ep, std::fabs((pp[static_cast<std::size_t>(i)] - want).to_double()));
-  }
-  // The path is rational with denominator degree 1, so the [L/1] Padé
-  // approximant is exact up to rounding while the truncated series is
-  // off by (h/rho)^(K+1).
-  EXPECT_LT(ep, 1e-9 * es);
-  EXPECT_LT(ep, 1e-50);
 }
 
 // --- homotopy ----------------------------------------------------------------
@@ -438,49 +404,68 @@ TEST(PathTracker, DryRunPricesTheFunctionalSchedule) {
   }
 }
 
-TEST(PathTracker, PadePredictorTracksAndMatchesItsDryReplay) {
-  // The Padé predictor runs on the host, so its steps issue no predict
-  // launch — the dry replay must be told the predictor kind to walk the
-  // same schedule.
-  blas::Vector<mdreal<4>> v;
-  auto h = rational_homotopy<4>(8, 2.0, 0x7ac3, &v);
-  path::TrackOptions opt = base_options(4);
-  opt.predictor = path::PredictorKind::pade;
-  auto res = path::track<4>(device::volta_v100(), h, opt);
-  EXPECT_TRUE(res.converged);
-  double worst = 0.0;
-  for (int i = 0; i < 8; ++i)
-    worst = std::max(worst, std::fabs((res.x[static_cast<std::size_t>(i)] -
-                                       v[static_cast<std::size_t>(i)] *
-                                           mdreal<4>(2.0))
-                                          .to_double()));
-  EXPECT_LE(worst, 1e3 * opt.tol);
-  for (const auto& s : res.steps) {
-    ASSERT_EQ(s.rungs.size(), 1u);
-    EXPECT_GT(s.rungs[0].host_ops.md_ops(), 0);  // the host-side Padé work
-    device::Device dry(device::volta_v100(), md::Precision::d2,
-                       device::ExecMode::dry_run);
-    path::track_step_dry<md::dd_real>(dry, 8, h.a_terms(), h.b_terms(),
-                                      opt.order, opt.tile, s.predict_evals,
-                                      s.residual_evals, s.correction_solves,
-                                      path::PredictorKind::pade);
-    EXPECT_TRUE(dry.analytic_total() == s.rungs[0].analytic);
-    EXPECT_DOUBLE_EQ(dry.kernel_ms(), s.rungs[0].kernel_ms);
-  }
-}
-
 TEST(PathTracker, WholePathDryPricingIsDeterministic) {
   auto opt = base_options(4);
-  auto d1 = path::track_dry(device::volta_v100(), 8, 2, 1, opt);
-  auto d2 = path::track_dry(device::volta_v100(), 8, 2, 1, opt);
+  auto d1 = path::track_dry<4>(device::volta_v100(), 8, 2, 1, opt);
+  auto d2 = path::track_dry<4>(device::volta_v100(), 8, 2, 1, opt);
   EXPECT_TRUE(d1.analytic == d2.analytic);
   EXPECT_DOUBLE_EQ(d1.kernel_ms, d2.kernel_ms);
   EXPECT_EQ(d1.launches, d2.launches);
   EXPECT_GT(d1.kernel_ms, 0.0);
   EXPECT_EQ(d1.precision, md::Precision::d2);
   // A larger dimension must price strictly higher.
-  auto d3 = path::track_dry(device::volta_v100(), 16, 2, 1, opt);
+  auto d3 = path::track_dry<4>(device::volta_v100(), 16, 2, 1, opt);
   EXPECT_GT(d3.kernel_ms, d1.kernel_ms);
+}
+
+namespace {
+
+// The expected schedule of a whole path priced by hand at one precision:
+// dry_steps single-rung steps, each with one predictor evaluation and
+// dry_corrector_rounds correction rounds.
+template <int L>
+double expected_path_wall_ms(const device::DeviceSpec& spec, int m,
+                             int aterms, int bterms,
+                             const path::TrackOptions& opt) {
+  device::Device dev(spec, md::Precision(L), device::ExecMode::dry_run);
+  for (int s = 0; s < path::dry_steps; ++s)
+    path::track_step_dry<mdreal<L>>(dev, m, aterms, bterms, opt.order,
+                                    opt.tile, 1,
+                                    path::dry_corrector_rounds + 1,
+                                    path::dry_corrector_rounds);
+  return dev.wall_ms();
+}
+
+}  // namespace
+
+TEST(PathTracker, WholePathDryPricingStartsAtTheFirstRung) {
+  // track() starts a {3, 4} ladder at d3, so the whole-path price (what
+  // LPT sharding and service admission charge) is the d3 schedule, not a
+  // d2 one.
+  auto h = rational_homotopy<4>(8, 2.0, 0x7ac3, nullptr);
+  auto opt = base_options(4);
+  opt.rungs = {3, 4};
+  const auto& spec = device::volta_v100();
+  const int at = h.a_terms(), bt = h.b_terms();
+  const auto dry = path::track_dry<4>(spec, 8, at, bt, opt);
+  EXPECT_EQ(dry.precision, md::Precision(3));
+  EXPECT_DOUBLE_EQ(dry.wall_ms,
+                   expected_path_wall_ms<3>(spec, 8, at, bt, opt));
+  EXPECT_GT(dry.wall_ms, expected_path_wall_ms<2>(spec, 8, at, bt, opt));
+
+  auto res = path::track<4>(spec, h, opt);
+  ASSERT_FALSE(res.steps.empty());
+  EXPECT_EQ(res.steps[0].rungs[0].precision, md::Precision(3));
+  EXPECT_EQ(res.steps[0].rungs[0].device_precision, md::Precision(3));
+
+  // The default ladder starts at d2, and a sequence whose rungs all lie
+  // above the target is refused before any pricing.
+  const auto def = base_options(4);
+  EXPECT_DOUBLE_EQ(path::track_dry<4>(spec, 8, at, bt, def).wall_ms,
+                   expected_path_wall_ms<2>(spec, 8, at, bt, def));
+  opt.rungs = {8};
+  EXPECT_THROW(path::track_dry<4>(spec, 8, at, bt, opt),
+               std::invalid_argument);
 }
 
 // --- tally conservation: sequential vs parallelism=4 vs batched --------------
@@ -511,7 +496,7 @@ TEST(PathTracker, TallyConservationAcrossExecutionWidths) {
         rational_homotopy<4>(8, 2.0, seed, nullptr)));
   std::vector<path::TrackResult<4>> singles;
   for (const auto& p : batch)
-    singles.push_back(path::track<4>(device::volta_v100(), *p.homotopy, opt));
+    singles.push_back(path::track<4>(device::volta_v100(), p.homotopy, opt));
 
   for (int width : {1, 2, 3}) {
     for (auto policy : {core::ShardPolicy::round_robin,
@@ -546,27 +531,43 @@ TEST(PathTracker, TallyConservationAcrossExecutionWidths) {
   }
 }
 
-TEST(PathTracker, BatchedDryModePricesWithoutData) {
+TEST(PathTracker, BatchedTrackShardsByTheResolvedLadderPrice) {
+  // LPT on a V100 + RTX 2080 pool ranks and places the paths by their
+  // whole-path price at the ladder's first rung.  The RTX 2080's weak
+  // double precision costs it far more at d3 than at d2: at d2 the fifth
+  // of five equal paths is cheaper on the idle RTX 2080, at d3 all five
+  // stay on the V100.
   std::vector<path::TrackProblem<4>> batch;
-  batch.push_back(path::TrackProblem<4>::dry(16, 2, 1));
-  batch.push_back(path::TrackProblem<4>::dry(8, 2, 2));
+  for (std::uint64_t k = 0; k < 5; ++k)
+    batch.push_back(path::TrackProblem<4>::functional(
+        rational_homotopy<4>(8, 2.0, 0x7ac3 + k, nullptr)));
+  const int at = batch[0].homotopy.a_terms(), bt = batch[0].homotopy.b_terms();
+  core::DevicePool pool;
+  pool.slots = {&device::volta_v100(), &device::geforce_rtx2080()};
   path::BatchedTrackOptions bopt;
   bopt.track = base_options(4);
-  bopt.mode = device::ExecMode::dry_run;
   bopt.policy = core::ShardPolicy::greedy_by_modeled_time;
-  auto pool = core::DevicePool::homogeneous(device::volta_v100(), 2);
-  auto res = path::batched_track<4>(pool, batch, bopt);
-  ASSERT_EQ(res.paths.size(), 2u);
-  for (const auto& p : res.paths) {
-    EXPECT_TRUE(p.result.x.empty());
-    EXPECT_GT(p.dry.kernel_ms, 0.0);
-    EXPECT_GT(p.dry.analytic.md_ops(), 0);
+
+  auto price = [&](const device::DeviceSpec& spec, std::vector<int> rungs) {
+    path::TrackOptions o = bopt.track;
+    o.rungs = std::move(rungs);
+    return path::track_dry<4>(spec, 8, at, bt, o).wall_ms;
+  };
+  ASSERT_GT(5 * price(device::volta_v100(), {}),
+            price(device::geforce_rtx2080(), {}));
+  ASSERT_LT(5 * price(device::volta_v100(), {3, 4}),
+            price(device::geforce_rtx2080(), {3, 4}));
+
+  auto at_d2 = path::batched_track<4>(pool, batch, bopt);
+  EXPECT_EQ(at_d2.shards, (std::vector<std::vector<int>>{{0, 1, 2, 3}, {4}}));
+  bopt.rungs = {3, 4};
+  auto at_d3 = path::batched_track<4>(pool, batch, bopt);
+  EXPECT_EQ(at_d3.shards,
+            (std::vector<std::vector<int>>{{0, 1, 2, 3, 4}, {}}));
+  for (const auto& p : at_d3.paths) {
+    ASSERT_FALSE(p.result.steps.empty());
+    EXPECT_EQ(p.result.steps[0].rungs[0].precision, md::Precision(3));
   }
-  EXPECT_EQ(res.report.pipeline, "tracker");
-  EXPECT_GT(res.report.makespan_ms, 0.0);
-  // LPT put the two differently-priced paths on different slots.
-  EXPECT_EQ(res.shards[0].size() + res.shards[1].size(), 2u);
-  EXPECT_EQ(res.shards[0].size(), 1u);
 }
 
 TEST(PathTracker, ReportPrintsPathTable) {
@@ -601,29 +602,29 @@ TEST(PathTracker, ValidatesOptionsWithThrownErrors) {
   EXPECT_THROW(path::track<4>(device::volta_v100(), h, opt),
                std::invalid_argument);
   opt = base_options(4);
-  opt.start_limbs = 8;
-  opt.max_limbs = 2;
+  opt.rungs = {8};  // the ladder would start above the target's 4 limbs
   EXPECT_THROW(path::track<4>(device::volta_v100(), h, opt),
                std::invalid_argument);
 
   std::vector<path::TrackProblem<4>> batch;
-  batch.push_back(path::TrackProblem<4>::dry(8, 2, 1));
+  batch.push_back(path::TrackProblem<4>::functional(h));
   path::BatchedTrackOptions bopt;
   bopt.track = base_options(4);
   core::DevicePool empty;
   EXPECT_THROW(path::batched_track<4>(empty, batch, bopt),
                std::invalid_argument);
   auto pool = core::DevicePool::homogeneous(device::volta_v100(), 1);
-  EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),  // dry problem,
-               std::invalid_argument);                     // functional mode
+  bopt.rungs = {8};  // the batch-level override is held to the same rule
+  EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),
+               std::invalid_argument);
 }
 
 TEST(PathTracker, BatchedTrackRejectsNegativeThreadsAndParallelismBelowOne) {
   std::vector<path::TrackProblem<4>> batch;
-  batch.push_back(path::TrackProblem<4>::dry(8, 2, 1));
+  batch.push_back(path::TrackProblem<4>::functional(
+      rational_homotopy<4>(8, 2.0, 0x7ac3, nullptr)));
   path::BatchedTrackOptions bopt;
   bopt.track = base_options(4);
-  bopt.mode = device::ExecMode::dry_run;
   auto pool = core::DevicePool::homogeneous(device::volta_v100(), 2);
   bopt.threads = -1;
   EXPECT_THROW(path::batched_track<4>(pool, batch, bopt),

@@ -1,18 +1,61 @@
-// Mixed-precision iterative refinement: convergence to the high target
-// precision from a cheap low-precision factorization, iteration counts,
-// precision conversion exactness, and graceful stagnation on problems too
-// ill-conditioned for the low format.
+// Mixed-precision iterative refinement through its one driver, the
+// adaptive precision ladder with a two-rung sequence {low, high}: factor
+// once in the cheap low precision, then refine with high-precision
+// residuals on the resident low-precision factors.  Convergence to the
+// high target with few corrections, precision conversion exactness,
+// the stall on inconsistent systems, and the refactorization when the
+// low factors cannot contract.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "blas/generate.hpp"
 #include "blas/norms.hpp"
-#include "core/refinement.hpp"
+#include "core/adaptive_lsq.hpp"
+#include "core/back_substitution.hpp"
+#include "core/householder.hpp"
 
 using namespace mdlsq;
 using mdlsq::md::mdreal;
 
+namespace {
+
+// The ladder factors at `low` limbs and refines up to NH.
+template <int NH>
+core::AdaptiveLsqResult<NH> refine_from(
+    int low, const blas::Matrix<mdreal<NH>>& a,
+    const blas::Vector<mdreal<NH>>& b, double tol, int tile) {
+  core::AdaptiveOptions opt;
+  opt.rungs = {low, NH};
+  opt.tol = tol;
+  opt.tile = tile;
+  return core::adaptive_least_squares<NH>(device::volta_v100(), a, b, opt);
+}
+
+template <int NH>
+double worst_error(const blas::Vector<mdreal<NH>>& x,
+                   const blas::Vector<mdreal<NH>>& want) {
+  double w = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    w = std::max(w, std::fabs((x[i] - want[i]).to_double()));
+  return w;
+}
+
+// The high rung refined on the low rung's factors: no refactorization,
+// launches priced at the factor precision.
+template <int NH>
+void expect_refined_on_low_factors(const core::AdaptiveLsqResult<NH>& res,
+                                   int low) {
+  ASSERT_EQ(res.rungs.size(), 2u);
+  EXPECT_TRUE(res.rungs[0].refactorized);
+  EXPECT_EQ(res.rungs[0].precision, md::Precision(low));
+  EXPECT_FALSE(res.rungs[1].refactorized);
+  EXPECT_EQ(res.rungs[1].precision, md::Precision(NH));
+  EXPECT_EQ(res.rungs[1].device_precision, md::Precision(low));
+}
+
+}  // namespace
 TEST(PrecisionConversion, WideningIsExact) {
   std::mt19937_64 gen(401);
   auto x = md::random_uniform<2>(gen);
@@ -38,18 +81,14 @@ TEST(Refinement, ReachesQuadDoubleFromDoubleDouble) {
   auto a = blas::random_matrix<mdreal<4>>(24, 24, gen);
   auto want = blas::random_vector<mdreal<4>>(24, gen);
   auto b = blas::gemv(a, std::span<const mdreal<4>>(want));
-  auto res = core::refined_least_squares<2, 4>(
-      a, std::span<const mdreal<4>>(b));
+  const double tol = 1e-58;
+  auto res = refine_from<4>(2, a, b, tol, 8);
   EXPECT_TRUE(res.converged);
-  for (int i = 0; i < 24; ++i)
-    EXPECT_LE(std::fabs((res.x[i] - want[i]).to_double()),
-              1e5 * mdreal<4>::eps());
-  // Each iteration must gain roughly the low precision's digits: from a
-  // dd factorization, qd accuracy needs only a couple of corrections.
-  EXPECT_LE(res.iterations, 6);
-  // Residual history is (essentially) monotone decreasing.
-  for (std::size_t k = 1; k < res.residual_history.size(); ++k)
-    EXPECT_LE(res.residual_history[k], res.residual_history[k - 1] * 1.01);
+  expect_refined_on_low_factors(res, 2);
+  EXPECT_LE(worst_error(res.x, want), 1e5 * mdreal<4>::eps());
+  // Each correction gains roughly the low precision's digits: from a dd
+  // factorization, qd accuracy needs only a couple of them.
+  EXPECT_LE(res.rungs[1].refine_iterations, 6);
 }
 
 TEST(Refinement, ReachesOctoDoubleFromQuadDouble) {
@@ -57,13 +96,11 @@ TEST(Refinement, ReachesOctoDoubleFromQuadDouble) {
   auto a = blas::random_matrix<mdreal<8>>(12, 12, gen);
   auto want = blas::random_vector<mdreal<8>>(12, gen);
   auto b = blas::gemv(a, std::span<const mdreal<8>>(want));
-  auto res = core::refined_least_squares<4, 8>(
-      a, std::span<const mdreal<8>>(b));
+  auto res = refine_from<8>(4, a, b, 1e-118, 4);
   EXPECT_TRUE(res.converged);
-  for (int i = 0; i < 12; ++i)
-    EXPECT_LE(std::fabs((res.x[i] - want[i]).to_double()),
-              1e6 * mdreal<8>::eps());
-  EXPECT_LE(res.iterations, 6);
+  expect_refined_on_low_factors(res, 4);
+  EXPECT_LE(worst_error(res.x, want), 1e6 * mdreal<8>::eps());
+  EXPECT_LE(res.rungs[1].refine_iterations, 6);
 }
 
 TEST(Refinement, OverdeterminedConsistentSystems) {
@@ -73,34 +110,33 @@ TEST(Refinement, OverdeterminedConsistentSystems) {
   auto a = blas::random_matrix<mdreal<4>>(40, 16, gen);
   auto want = blas::random_vector<mdreal<4>>(16, gen);
   auto b = blas::gemv(a, std::span<const mdreal<4>>(want));
-  auto res = core::refined_least_squares<2, 4>(
-      a, std::span<const mdreal<4>>(b));
+  auto res = refine_from<4>(2, a, b, 1e-58, 8);
   EXPECT_TRUE(res.converged);
-  for (int i = 0; i < 16; ++i)
-    EXPECT_LE(std::fabs((res.x[i] - want[i]).to_double()),
-              1e6 * mdreal<4>::eps());
+  expect_refined_on_low_factors(res, 2);
+  EXPECT_LE(worst_error(res.x, want), 1e6 * mdreal<4>::eps());
 }
 
 TEST(Refinement, InconsistentSystemsStallAtLowPrecisionGradient) {
   // Classical limitation (Bjorck): refining x alone on an INCONSISTENT
   // least-squares problem cannot push the gradient A^T(b - Ax) below the
   // level set by the low-precision factors; full-precision convergence
-  // needs the augmented-system formulation.  The driver must stop via
-  // its stagnation guard and still deliver dd-level optimality.
+  // needs the augmented-system formulation.  The high rung must stop on
+  // its stagnation guard, before the iteration cap, and still deliver
+  // dd-level optimality.
   std::mt19937_64 gen(406);
   auto a = blas::random_matrix<mdreal<4>>(40, 16, gen);
   auto b = blas::random_vector<mdreal<4>>(40, gen);  // not in range(A)
-  auto res = core::refined_least_squares<2, 4>(
-      a, std::span<const mdreal<4>>(b), 30);
-  EXPECT_LT(res.iterations, 30);
+  auto res = refine_from<4>(2, a, b, 1e-58, 8);
   EXPECT_FALSE(res.converged);
-  EXPECT_LE(res.residual_history.back(), 1e3 * mdreal<2>::eps());
+  expect_refined_on_low_factors(res, 2);
+  EXPECT_LT(res.rungs[1].refine_iterations, core::refine_iter_cap);
+  EXPECT_LE(res.rungs[1].backward_error, 1e3 * mdreal<2>::eps());
 }
 
-TEST(Refinement, StagnatesGracefullyWhenTooIllConditioned) {
+TEST(Refinement, RefactorizesWhenTheLowFactorsCannotContract) {
   // A Hilbert block of dimension 14 has condition ~ 2e19 < 1/eps(dd)
-  // but ~1e36 at 24: beyond the dd factorization's reach, refinement
-  // must stop (stagnation guard) instead of looping forever.
+  // but ~1e36 at 24: beyond the dd factors' reach (cond * eps(dd) > 1e-2),
+  // so the qd rung refactorizes instead of refining on them.
   const int n = 24;
   blas::Matrix<mdreal<4>> h(n, n);
   for (int i = 0; i < n; ++i)
@@ -108,10 +144,12 @@ TEST(Refinement, StagnatesGracefullyWhenTooIllConditioned) {
       h(i, j) = mdreal<4>(1.0) / mdreal<4>(double(i + j + 1));
   blas::Vector<mdreal<4>> ones(n, mdreal<4>(1.0));
   auto b = blas::gemv(h, std::span<const mdreal<4>>(ones));
-  auto res = core::refined_least_squares<2, 4>(
-      h, std::span<const mdreal<4>>(b), 30);
-  EXPECT_LT(res.iterations, 30);  // stopped, one way or another
-  EXPECT_FALSE(res.converged);
+  auto res = refine_from<4>(2, h, b, 1e-20, 8);
+  ASSERT_EQ(res.rungs.size(), 2u);
+  EXPECT_GT(res.rungs[0].cond_estimate * core::detail::eps_of_limbs(2), 1e-2);
+  EXPECT_TRUE(res.rungs[1].refactorized);
+  EXPECT_EQ(res.rungs[1].device_precision, md::Precision::d4);
+  EXPECT_TRUE(res.converged);
 }
 
 TEST(Refinement, FactorsAreReusableAcrossRightHandSides) {

@@ -6,6 +6,7 @@
 // run under the default Release build, so they pin NDEBUG survival).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -268,6 +269,9 @@ void check_warm_equals_cold(const test_support::ShapeCase& c) {
   EXPECT_EQ(warm.analytic, warm.measured);
   EXPECT_LT(warm.wall_ms, cold.wall_ms);
   EXPECT_LT(warm.kernel_ms, cold.kernel_ms);
+  // Admission prices the resident pipeline a cold job runs, so on a
+  // one-spec pool a cold job costs exactly its admission price.
+  EXPECT_EQ(cold.modeled_cost_ms, cold.wall_ms);
 
   const auto cs = svc.cache_stats();
   EXPECT_EQ(cs.hits, 1);
@@ -390,6 +394,42 @@ TEST(ServeDrain, WaitsForTheLastRowSinkCall) {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   svc.drain();
   EXPECT_EQ(rows_sunk, 1);
+}
+
+// Destroying the service with jobs still queued resolves every accepted
+// future: the destructor drains the queue before it stops the workers.
+// One slot and a sink that holds the first job until every job is
+// submitted keep the rest queued; the sink then sleeps per row, so the
+// service goes out of scope with jobs still waiting.
+TEST(ServeShutdown, DestroyingWithQueuedJobsResolvesEveryFuture) {
+  constexpr int kJobs = 6;
+  auto [a, b] = random_problem<2>(16, 8, 0xd7a2);
+  std::atomic<int> rows_sunk{0};
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::vector<std::future<serve::Response<2>>> results;
+  {
+    serve::ServiceOptions opt;
+    opt.row_sink = [&rows_sunk, open](const util::BatchDeviceRow&) {
+      open.wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++rows_sunk;
+    };
+    serve::SolverService<2> svc(
+        core::DevicePool::homogeneous(device::volta_v100(), 1), opt);
+    for (int k = 0; k < kJobs; ++k) {
+      auto ticket = svc.submit(lsq_request<2>(a, b, 8));
+      EXPECT_TRUE(ticket.accepted);
+      results.push_back(std::move(ticket.result));
+    }
+    EXPECT_GE(svc.stats().queued, kJobs - 1);
+    gate.set_value();
+  }
+  EXPECT_EQ(rows_sunk.load(), kJobs);
+  for (auto& f : results) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_EQ(f.get().status, serve::JobStatus::done);
+  }
 }
 
 // --- fair-share scheduling --------------------------------------------------
@@ -551,10 +591,10 @@ TEST(ServeValidation, MalformedRequestsThrowFromSubmit) {
                })),
                std::invalid_argument);
   EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
-                 o.start_limbs = 4;
+                 o.rungs = {4, 8};
                })),
                std::invalid_argument)
-      << "start_limbs beyond the service's limb count";
+      << "a ladder starting beyond the service's limb count";
   EXPECT_THROW(svc.submit(track_request([](path::TrackOptions& o) {
                  o.rungs = {2, 1};
                })),
@@ -683,26 +723,19 @@ TEST(ServeNonFinite, AdaptiveJobWithNanResolvesUnconverged) {
   EXPECT_FALSE(std::isfinite(resp.rungs[0].backward_error));
 }
 
-TEST(ServeValidation, BatchedTrackValidatesDryDimsInRelease) {
+TEST(ServeValidation, BatchedTrackValidatesBatchKnobsInRelease) {
   const auto pool = core::DevicePool::homogeneous(device::volta_v100(), 1);
   path::BatchedTrackOptions opt;
-  opt.mode = device::ExecMode::dry_run;
-
-  std::vector<path::TrackProblem<2>> zero_dim;
-  zero_dim.push_back(path::TrackProblem<2>::dry(0, 1, 1));
-  EXPECT_THROW(path::batched_track<2>(pool, zero_dim, opt),
-               std::invalid_argument);
-
-  std::vector<path::TrackProblem<2>> no_terms;
-  no_terms.push_back(path::TrackProblem<2>::dry(4, 0, 1));
-  EXPECT_THROW(path::batched_track<2>(pool, no_terms, opt),
-               std::invalid_argument);
-
   std::vector<path::TrackProblem<2>> good;
-  good.push_back(path::TrackProblem<2>::dry(4, 2, 1));
+  good.push_back(path::TrackProblem<2>::functional(
+      path::rational_path_homotopy<md::dd_real>(4, 2.0, 0xbad3)));
   path::BatchedTrackOptions bad_threads = opt;
   bad_threads.threads = -1;
   EXPECT_THROW(path::batched_track<2>(pool, good, bad_threads),
+               std::invalid_argument);
+  path::BatchedTrackOptions bad_rungs = opt;
+  bad_rungs.rungs = {2, 7};
+  EXPECT_THROW(path::batched_track<2>(pool, good, bad_rungs),
                std::invalid_argument);
   EXPECT_NO_THROW(path::batched_track<2>(pool, good, opt));
 }

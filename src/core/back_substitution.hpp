@@ -43,8 +43,9 @@ blas::Vector<T> back_substitute(const blas::Matrix<T>& u,
 
 // Solves min ||b - A x||_2 with an already-computed QR factorization of
 // A: y = (Q^H b)[0:c], then back substitution on the leading block of R.
-// Split out of least_squares_host so multi-pass refinement can factor
-// once and reuse Q and R for every right-hand side.
+// The body of least_squares_host, and the host reference that the
+// device-priced correction solve (correction_solve_staged_run,
+// core/refinement.hpp) matches limb for limb.
 template <class T>
 blas::Vector<T> least_squares_with_factors(const QrFactors<T>& f,
                                            std::span<const T> b) {

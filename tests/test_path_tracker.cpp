@@ -127,6 +127,8 @@ TEST(Homotopy, ValidatesShapesWithThrownErrors) {
                std::invalid_argument);
   EXPECT_THROW(path::Homotopy<T>({a}, {blas::random_vector<T>(5, gen)}),
                std::invalid_argument);
+  EXPECT_THROW(path::Homotopy<T>({blas::Matrix<T>(0, 0)}, {blas::Vector<T>()}),
+               std::invalid_argument);
   EXPECT_NO_THROW(path::Homotopy<T>({a}, {b}));
 }
 

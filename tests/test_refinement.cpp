@@ -10,8 +10,10 @@
 #include <random>
 #include <vector>
 
+#include "blas/gemm.hpp"
 #include "blas/generate.hpp"
 #include "blas/norms.hpp"
+#include "blas/vector_ops.hpp"
 #include "core/adaptive_lsq.hpp"
 #include "core/back_substitution.hpp"
 #include "core/householder.hpp"
@@ -40,6 +42,14 @@ double worst_error(const blas::Vector<mdreal<NH>>& x,
   for (std::size_t i = 0; i < x.size(); ++i)
     w = std::max(w, std::fabs((x[i] - want[i]).to_double()));
   return w;
+}
+
+// Every correction solve the ladder ran, on either rung.
+template <int NH>
+int corrections(const core::AdaptiveLsqResult<NH>& res) {
+  int n = 0;
+  for (const auto& rs : res.rungs) n += rs.refine_iterations;
+  return n;
 }
 
 // The high rung refined on the low rung's factors: no refactorization,
@@ -87,8 +97,9 @@ TEST(Refinement, ReachesQuadDoubleFromDoubleDouble) {
   expect_refined_on_low_factors(res, 2);
   EXPECT_LE(worst_error(res.x, want), 1e5 * mdreal<4>::eps());
   // Each correction gains roughly the low precision's digits: from a dd
-  // factorization, qd accuracy needs only a couple of them.
-  EXPECT_LE(res.rungs[1].refine_iterations, 6);
+  // factorization, qd accuracy needs only a couple of them, counting the
+  // low rung's own sweeps.
+  EXPECT_LE(corrections(res), 6);
 }
 
 TEST(Refinement, ReachesOctoDoubleFromQuadDouble) {
@@ -100,7 +111,7 @@ TEST(Refinement, ReachesOctoDoubleFromQuadDouble) {
   EXPECT_TRUE(res.converged);
   expect_refined_on_low_factors(res, 4);
   EXPECT_LE(worst_error(res.x, want), 1e6 * mdreal<8>::eps());
-  EXPECT_LE(res.rungs[1].refine_iterations, 6);
+  EXPECT_LE(corrections(res), 6);
 }
 
 TEST(Refinement, OverdeterminedConsistentSystems) {
@@ -130,7 +141,12 @@ TEST(Refinement, InconsistentSystemsStallAtLowPrecisionGradient) {
   EXPECT_FALSE(res.converged);
   expect_refined_on_low_factors(res, 2);
   EXPECT_LT(res.rungs[1].refine_iterations, core::refine_iter_cap);
-  EXPECT_LE(res.rungs[1].backward_error, 1e3 * mdreal<2>::eps());
+  auto ax = blas::gemv(a, std::span<const mdreal<4>>(res.x));
+  blas::Vector<mdreal<4>> r(40);
+  for (int i = 0; i < 40; ++i) r[i] = b[i] - ax[i];
+  auto g = blas::gemv_adjoint(a, std::span<const mdreal<4>>(r));
+  EXPECT_LE(blas::norm_inf(std::span<const mdreal<4>>(g)).to_double(),
+            1e3 * mdreal<2>::eps());
 }
 
 TEST(Refinement, RefactorizesWhenTheLowFactorsCannotContract) {

@@ -760,19 +760,22 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   }
   ASSERT_EQ(entry_bytes, (32 * 16 + 32 * 16 + 16 * 16) * 4 * 8);
 
-  // Price the jobs exactly the way the service's admission does (dry
-  // pricers against the pool's first slot), then place the backlog limit
-  // BETWEEN the adaptive warmup's price (must be admitted on an empty
-  // queue) and the fixed-d4 big solve's (must be rejected on one): the
-  // adaptive ladder prices its big solve at the cheap d2 starting rung,
-  // so it undercuts the same shape solved entirely at d4.
+  // Price the jobs exactly the way the service's admission does (an
+  // LsqJob by the resident pipeline's dry walk, an adaptive job by its dry
+  // ladder, both against the pool's first slot), then place the backlog
+  // limit BETWEEN the adaptive warmup's price (must be admitted on an
+  // empty queue) and the fixed-d4 big solve's (must be rejected on one):
+  // the adaptive ladder prices its big solve at the cheap d2 starting
+  // rung, so it undercuts the same shape solved entirely at d4.
   device::Device pricer(device::volta_v100(), md::Precision::d4,
                         device::ExecMode::dry_run);
-  core::least_squares_dry<md::qd_real>(pricer, 32, 16, 16);
+  core::least_squares_resident_run<md::qd_real>(pricer, nullptr, nullptr, 32,
+                                                16, 16);
   const double one = pricer.wall_ms();
   device::Device big_pricer(device::volta_v100(), md::Precision::d4,
                             device::ExecMode::dry_run);
-  core::least_squares_dry<md::qd_real>(big_pricer, 160, 80, 16);
+  core::least_squares_resident_run<md::qd_real>(big_pricer, nullptr, nullptr,
+                                                160, 80, 16);
   const double big_fixed = big_pricer.wall_ms();
   const double warm_adaptive = core::adaptive_least_squares_dry<md::qd_real>(
                                    device::volta_v100(), 160, 80, {})

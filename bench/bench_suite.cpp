@@ -27,12 +27,22 @@
 //     hosts with the same core budget.
 // The binary itself fails only on correctness: threaded results must be
 // limb-identical to sequential and every tally measured == declared.
+//
+// The host is shared, so a wall ratio can fail for want of free cores.
+// A spin probe before the first case and after the last records the
+// effective parallelism (probe_before / probe_after in the artifact);
+// tools/check_bench.py prints both next to any failing wall ratio.
+#include <time.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <random>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -52,6 +62,37 @@ using namespace mdlsq;
 using bench::now_ms;
 
 namespace {
+
+// The host's effective parallelism right now: hardware_concurrency
+// threads spin for about 200 ms; the reading is their summed thread CPU
+// time over the wall time (about the core count on an idle host, less
+// when other tenants hold cores).
+double spin_probe() {
+  const int n = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  auto thread_cpu_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+  };
+  std::atomic<long long> cpu_us{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> spinners;
+  const double t0 = now_ms();
+  for (int k = 0; k < n; ++k)
+    spinners.emplace_back([&] {
+      while (!go.load()) {
+      }
+      const double c0 = thread_cpu_ms();
+      volatile double sink = 0.0;
+      while (now_ms() - t0 < 200.0) sink = sink + 1.0;
+      cpu_us += static_cast<long long>((thread_cpu_ms() - c0) * 1e3);
+    });
+  go = true;
+  for (auto& t : spinners) t.join();
+  const double wall = now_ms() - t0;
+  return wall > 0.0 ? cpu_us.load() / 1e3 / wall : 0.0;
+}
 
 struct CaseResult {
   std::string kind;  // "qr" | "backsub" | "lsq" | "layout" | "simd" | "trace"
@@ -394,6 +435,7 @@ int main(int argc, char** argv) {
   }
   util::ThreadPool pool(width - 1);  // the caller is the width-th lane
 
+  const double probe_before = spin_probe();
   std::vector<CaseResult> cases;
   // The sweep: per precision one QR, one back substitution, one full
   // least-squares solve, sized so the d8 QR (the acceptance case) does
@@ -432,10 +474,13 @@ int main(int argc, char** argv) {
   // QR; the binary enforces bit-identity, exact tallies and identical
   // modeled time below, like every other case (DESIGN.md §12).
   cases.push_back(trace_case<md::dd_real>(96, 16));
+  const double probe_after = spin_probe();
 
   bench::header("sequential vs threaded execution engine (V100 model)");
-  std::printf("threads: %d (hardware_concurrency %u)\n\n", width,
+  std::printf("threads: %d (hardware_concurrency %u)\n", width,
               std::thread::hardware_concurrency());
+  std::printf("host effective parallelism: %.2f before, %.2f after\n\n",
+              probe_before, probe_after);
   util::Table t({"kind", "prec", "rows", "cols", "tile", "modeled ms",
                  "seq wall ms", "par wall ms", "speedup", "identical"});
   for (const auto& c : cases)
@@ -453,9 +498,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\"bench\":\"suite\",\"device\":\"%s\",\"threads\":%d,"
-               "\"hardware_concurrency\":%u,\"cases\":[",
+               "\"hardware_concurrency\":%u,\"probe_before\":%.3f,"
+               "\"probe_after\":%.3f,\"cases\":[",
                device::volta_v100().name.c_str(), width,
-               std::thread::hardware_concurrency());
+               std::thread::hardware_concurrency(), probe_before,
+               probe_after);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     std::fprintf(f,

@@ -1,6 +1,9 @@
-// The blocked QR's hot-stage kernels over staged views: the panel column
-// dots, the Householder rank-1 apply, the two gemm forms of the WY
-// trailing updates and the element-wise accumulation (DESIGN.md §9).
+// The hot-stage kernels over staged views (DESIGN.md §9): the blocked
+// QR's panel column dots, Householder rank-1 apply, the two gemm forms
+// of the WY trailing updates and the element-wise accumulation; and the
+// path tracker's per-order kernels — the correction solve's Q^H r
+// (gemm_nn on a one-row x) and back-substitution row chains (fms_chain),
+// and the block Toeplitz convolution (gemm_nt, then ewise_sub).
 //
 // For a real multiple double mdreal<N> each wrapper runs the fused N-limb
 // kernel of the runtime-dispatched SIMD table (md/simd/) on the view's
@@ -149,6 +152,45 @@ void ewise_add(const StagedView<T>& c, const StagedView<T>& s, int i0,
     detail::kernels<T>().ewise_add(c.limb_planes(), s.limb_planes(), i0, i1,
                                    j0, j1);
     md::detail::count_bulk({.add = std::int64_t(i1 - i0) * (j1 - j0)});
+  }
+}
+
+// c(i, j) -= s(i, j) over [i0,i1) x [j0,j1) — one sub per element.  The
+// fused sub is the add of the exact negation, so for a real scalar the
+// window of s (the caller's scratch) is left negated.
+template <class T>
+void ewise_sub(const StagedView<T>& c, const StagedView<T>& s, int i0,
+               int i1, int j0, int j1) {
+  if (i0 >= i1 || j0 >= j1) return;
+  if constexpr (scalar_traits<T>::is_complex) {
+    for (int i = i0; i < i1; ++i)
+      for (int j = j0; j < j1; ++j) c.set(i, j, c.get(i, j) - s.get(i, j));
+  } else {
+    for (int l = 0; l < StagedView<T>::planes; ++l)
+      for (int i = i0; i < i1; ++i)
+        for (double& x : s.row_segment(l, i, j0, j1 - j0)) x = -x;
+    detail::kernels<T>().ewise_add(c.limb_planes(), s.limb_planes(), i0, i1,
+                                   j0, j1);
+    md::detail::count_bulk({.sub = std::int64_t(i1 - i0) * (j1 - j0)});
+  }
+}
+
+// s - sum_t a(0, t) * b(0, t) over two one-row windows of equal length,
+// t ascending: one fms (mul + sub) per term in a single dependency chain
+// (back substitution's per-row update; scalar in every table).
+template <class T>
+T fms_chain(const T& s, const StagedView<T>& a, const StagedView<T>& b) {
+  const int n = a.cols();
+  if constexpr (scalar_traits<T>::is_complex) {
+    T r = s;
+    for (int t = 0; t < n; ++t) r -= a.get(0, t) * b.get(0, t);
+    return r;
+  } else {
+    double acc[scalar_traits<T>::limbs];
+    s.store(acc);
+    detail::kernels<T>().fms_chain(acc, a.limb_planes(), b.limb_planes(), n);
+    md::detail::count_bulk({.sub = n, .mul = n});
+    return T::from_limbs(acc);
   }
 }
 

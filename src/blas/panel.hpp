@@ -12,10 +12,20 @@
 //   gemv_adjoint_cols   y[j] = (A^H x)[j]          — dotc per column,
 //                       ascending row order (Q^H b, Q^H r)
 //   back_substitute_view  U x = b, one chain from the last row up, each
-//                       row's dots in ascending column order — identical
-//                       to core::back_substitute
+//                       row's fms chain in ascending column order, then
+//                       one division
 //   invert_upper_tile   V = U^{-1} column by column (V e_k solve), the
 //                       diagonal-tile inversion of Algorithm 1
+//
+// The first two are the correction solve's bodies (core/refinement.hpp
+// and its host reference least_squares_with_factors).  For a real
+// mdreal<N> they run the fused N-limb sequences of blas/fused.hpp: the
+// adjoint gemv is fused::gemm_nn on a one-row plane copy of x (lanes
+// across the outputs), the back substitution's per-row chain is
+// fused::fms_chain, and each row's division stays mdreal's operator.
+// Complex scalars run the same orders on the accessors and operators.
+// gemv_rows and invert_upper_tile (the tiled back substitution) stay on
+// operators.
 //
 // gemm_block (blas/gemm.hpp) stays the accessor-generic matrix-matrix
 // block kernel; views plug into it directly.  The blocked QR's panel
@@ -26,20 +36,45 @@
 #include <stdexcept>
 #include <vector>
 
+#include "blas/fused.hpp"
 #include "blas/matrix.hpp"
 #include "blas/staged_view.hpp"
 
 namespace mdlsq::blas {
 
-// y[j] = sum_i conj(a(i, j)) * x[i] for j in [j0, j1) — Q^H b / Q^H r.
-template <class T, class View>
-void gemv_adjoint_cols(const View& a, std::span<const T> x, std::span<T> y,
-                       int j0, int j1) {
-  const int rows = a.rows();
-  for (int j = j0; j < j1; ++j) {
-    T s{};
-    for (int i = 0; i < rows; ++i) s += conj_of(a.get(i, j)) * x[i];
-    y[static_cast<std::size_t>(j)] = s;
+namespace detail {
+// A one-row view of n elements over `buf`, zero-filled: the limb-plane
+// form in which the fused kernels read and write a host vector.
+template <class T>
+StagedView<T> row_planes(std::vector<double>& buf, int n) {
+  buf.assign(std::size_t(n) * StagedView<T>::planes, 0.0);
+  return StagedView<T>(buf.data(), std::size_t(n), n, 0, 0, 1, n);
+}
+}  // namespace detail
+
+// y[j] = sum_i conj(a(i, j)) * x[i] for every column j of the view, each
+// dot reduced in ascending row order — Q^H b / Q^H r.
+template <class T>
+void gemv_adjoint_cols(const StagedView<T>& a, std::span<const T> x,
+                       std::span<T> y) {
+  const int rows = a.rows(), cols = a.cols();
+  if (static_cast<int>(x.size()) != rows || static_cast<int>(y.size()) != cols)
+    throw std::invalid_argument(
+        "mdlsq: gemv_adjoint_cols needs x with a row's and y with a "
+        "column's length");
+  if constexpr (scalar_traits<T>::is_complex) {
+    for (int j = 0; j < cols; ++j) {
+      T s{};
+      for (int i = 0; i < rows; ++i) s += conj_of(a.get(i, j)) * x[i];
+      y[static_cast<std::size_t>(j)] = s;
+    }
+  } else {
+    std::vector<double> xb, yb;
+    const auto xv = detail::row_planes<T>(xb, rows);
+    const auto yv = detail::row_planes<T>(yb, cols);
+    for (int i = 0; i < rows; ++i) xv.set(0, i, x[static_cast<std::size_t>(i)]);
+    fused::gemm_nn(xv, a, yv, 0, 1, 0, cols, 0, rows);
+    for (int j = 0; j < cols; ++j) y[static_cast<std::size_t>(j)] = yv.get(0, j);
   }
 }
 
@@ -56,22 +91,26 @@ void gemv_rows(const View& a, XAt&& x, YOut&& y) {
   }
 }
 
-// Solves U x = b for the upper triangular view U — the same operation
-// order as core::back_substitute (one fms per superdiagonal element in
-// ascending column order, one division per row, last row first).
-template <class T, class View>
-Vector<T> back_substitute_view(const View& u, std::span<const T> b) {
+// Solves U x = b for the upper triangular view U: last row first, each
+// row one fms per superdiagonal element in ascending column order, then
+// one division.  x is kept as limb planes too, for the fms chains.
+template <class T>
+Vector<T> back_substitute_view(const StagedView<T>& u, std::span<const T> b) {
   const int n = u.rows();
   if (u.cols() != n || static_cast<int>(b.size()) != n)
     throw std::invalid_argument(
         "mdlsq: back_substitute_view needs a square view and a matching "
         "right-hand side");
   Vector<T> x(static_cast<std::size_t>(n));
+  std::vector<double> xb;
+  const auto xv = detail::row_planes<T>(xb, n);
   for (int i = n - 1; i >= 0; --i) {
-    T s = b[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < n; ++j)
-      s -= u.get(i, j) * x[static_cast<std::size_t>(j)];
+    const int tail = n - 1 - i;
+    const T s = fused::fms_chain(b[static_cast<std::size_t>(i)],
+                                 u.block(i, i + 1, 1, tail),
+                                 xv.block(0, i + 1, 1, tail));
     x[static_cast<std::size_t>(i)] = s / u.get(i, i);
+    xv.set(0, i, x[static_cast<std::size_t>(i)]);
   }
   return x;
 }

@@ -1,5 +1,7 @@
-// Reference (host) back substitution for upper triangular systems, and
-// the host least-squares baseline combining it with the reference QR.
+// Reference (host) back substitution for upper triangular systems (the
+// tiled back substitution's reference, on mdreal operators), and the host
+// least-squares baseline over the reference QR, which runs the
+// correction solve's bodies.
 #pragma once
 
 #include <cassert>
@@ -7,7 +9,9 @@
 
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
+#include "blas/panel.hpp"
 #include "core/householder.hpp"
+#include "device/staged.hpp"
 
 namespace mdlsq::core {
 
@@ -45,22 +49,22 @@ blas::Vector<T> back_substitute(const blas::Matrix<T>& u,
 // A: y = (Q^H b)[0:c], then back substitution on the leading block of R.
 // The body of least_squares_host, and the host reference that the
 // device-priced correction solve (correction_solve_staged_run,
-// core/refinement.hpp) matches limb for limb.
+// core/refinement.hpp) matches limb for limb: Q's leading c columns and
+// R's leading triangle are copied into limb planes and the same two
+// bodies run on them (blas/panel.hpp).
 template <class T>
 blas::Vector<T> least_squares_with_factors(const QrFactors<T>& f,
                                            std::span<const T> b) {
   const int m = f.q.rows(), c = f.r.cols();
   assert(static_cast<int>(b.size()) == m);
-  blas::Vector<T> y(c);
-  for (int j = 0; j < c; ++j) {
-    T s{};
-    for (int i = 0; i < m; ++i) s += blas::conj_of(f.q(i, j)) * b[i];
-    y[j] = s;
-  }
-  blas::Matrix<T> r_top(c, c);
+  device::Staged2D<T> q(m, c), r_top(c, c);
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < c; ++j) q.set(i, j, f.q(i, j));
   for (int i = 0; i < c; ++i)
-    for (int j = i; j < c; ++j) r_top(i, j) = f.r(i, j);
-  return back_substitute(r_top, std::span<const T>(y));
+    for (int j = i; j < c; ++j) r_top.set(i, j, f.r(i, j));
+  blas::Vector<T> y(c);
+  blas::gemv_adjoint_cols<T>(q.view(), b, std::span<T>(y));
+  return blas::back_substitute_view<T>(r_top.view(), std::span<const T>(y));
 }
 
 // Host least-squares baseline: x = argmin ||b - A x||_2 via Householder QR

@@ -29,6 +29,13 @@
 // reads: the resident factors of T_0 and staged copies of T_1..T_{band-1}
 // (T_0 itself is staged once, for the QR).
 //
+// For a real mdreal<N> the convolution runs the fused N-limb kernels of
+// blas/fused.hpp (DESIGN.md §9) on one-row limb planes of r, x and each
+// product: T_j x_{k-j} by fused::gemm_nt (lanes across the task's rows),
+// then r -= T_j x_{k-j} for j ascending; the diagonal solve is the fused
+// correction solve.  Complex scalars run the same orders on the
+// accessor-generic dots and mdreal operators.
+//
 // Input validation follows the thrown-error convention of core/: invalid
 // shapes raise std::invalid_argument (asserts would vanish under NDEBUG
 // while this class sits on the service path of the tracking subsystem).
@@ -39,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/fused.hpp"
 #include "blas/gemm.hpp"
 #include "core/blocked_qr.hpp"
 #include "core/refinement.hpp"
@@ -137,16 +145,28 @@ class BlockToeplitzSolver {
     const std::int64_t esz = 8 * blas::scalar_traits<T>::doubles_per_element;
     const int par = dev.parallelism();
 
+    // Functional mode keeps the solved orders, the running right-hand
+    // side and each product T_j x_{k-j} as one-row limb planes: the form
+    // the fused kernels read and write (blas/fused.hpp).
     std::vector<blas::Vector<T>> x;
-    if (fn) x.reserve(static_cast<std::size_t>(orders));
-    blas::Vector<T> r;
+    device::Staged2D<T> xs, rs, ss;
+    if (fn) {
+      x.reserve(static_cast<std::size_t>(orders));
+      xs = device::Staged2D<T>(orders, m);
+      rs = device::Staged2D<T>(1, m);
+      ss = device::Staged2D<T>(1, m);
+    }
     for (int k = 0; k < orders; ++k) {
       const int j_max = std::min(k, band - 1);
-      if (fn) r = (*rhs)[static_cast<std::size_t>(k)];
+      if (fn)
+        for (int i = 0; i < m; ++i)
+          rs.set(0, i, (*rhs)[static_cast<std::size_t>(k)][i]);
       if (j_max > 0) {
-        // r -= sum_{j=1..j_max} T_j x_{k-j}: each task owns a contiguous
-        // row block of r; every row's dot products reduce in fixed
-        // ascending order inside one task (bit-identical at any width).
+        // r -= T_j x_{k-j} for j = 1..j_max in ascending order: each task
+        // owns a contiguous row block of r; every row's dot products
+        // reduce in fixed ascending order inside one task (bit-identical
+        // at any width).  Real scalars run fused::gemm_nt with lanes
+        // across the task's rows; complex ones the accessor-generic dots.
         const std::int64_t jm = j_max;
         const md::OpTally ops =
             O::fma() * (jm * m * m) + O::sub() * (jm * m);
@@ -157,30 +177,34 @@ class BlockToeplitzSolver {
             (jm * std::int64_t(m) * m + 2 * std::int64_t(m)) * esz, serial,
             blas::block_count(m, par), [&](int task) {
               const auto blk = blas::block_range(m, par, task);
-              // The band blocks are read from their staged-resident
-              // copies (T_j at band_blocks_[j - 1]).  Views are built once
-              // per task, outside the row loop.
-              std::vector<blas::StagedView<T>> tj(
-                  static_cast<std::size_t>(j_max) + 1);
-              for (int j = 1; j <= j_max; ++j)
-                tj[static_cast<std::size_t>(j)] =
+              const auto rv = rs.view(), sv = ss.view();
+              for (int j = 1; j <= j_max; ++j) {
+                // T_j at band_blocks_[j - 1], read in place.
+                const auto tj =
                     self->band_blocks_[static_cast<std::size_t>(j - 1)]
                         .view();
-              for (int i = blk.begin; i < blk.end; ++i) {
-                for (int j = 1; j <= j_max; ++j) {
-                  const auto& xk = x[static_cast<std::size_t>(k - j)];
-                  T s{};
-                  for (int c = 0; c < m; ++c)
-                    s += tj[static_cast<std::size_t>(j)].get(i, c) * xk[c];
-                  r[i] = r[i] - s;
-                }
+                const auto xj = xs.view(k - j, 0, 1, m);
+                if constexpr (blas::scalar_traits<T>::is_complex)
+                  blas::gemm_block<T>(
+                      blk.begin, blk.end, 0, 1, 0, m,
+                      [&](int i, int c) { return tj.get(i, c); },
+                      [&](int c, int) { return xj.get(0, c); },
+                      [&](int i, int, const T& s) { sv.set(0, i, s); });
+                else
+                  blas::fused::gemm_nt(xj, tj, sv, 0, 1, blk.begin, blk.end,
+                                       0, m);
+                blas::fused::ewise_sub(rv, sv, 0, 1, blk.begin, blk.end);
               }
             });
       }
-      if (fn)
+      if (fn) {
+        blas::Vector<T> r(static_cast<std::size_t>(m));
+        for (int i = 0; i < m; ++i) r[i] = rs.get(0, i);
         x.push_back(self->resident_.solve_on(dev, r, tile));
-      else
+        for (int i = 0; i < m; ++i) xs.set(k, i, x.back()[i]);
+      } else {
         correction_solve_dry<T>(dev, m, m, tile);
+      }
     }
     return x;
   }

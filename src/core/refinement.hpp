@@ -20,7 +20,11 @@
 // against factors held resident in a ResidentQr — the factor store of the
 // adaptive ladder (adaptive_lsq.hpp), of the block Toeplitz solver behind
 // the path tracker (block_toeplitz.hpp) and of the solver service's
-// factor cache (serve/factor_cache.hpp).
+// factor cache (serve/factor_cache.hpp).  Both bodies call the same two
+// kernels of blas/panel.hpp, which for a real mdreal<N> run the fused
+// N-limb sequences (DESIGN.md §9): Q^H r as a fused column dot and each
+// back-substitution row's fms chain, with each row's division an mdreal
+// operator.
 #pragma once
 
 #include <cassert>
@@ -46,9 +50,8 @@ inline constexpr const char* ref_bs = "refine back sub";
 // corrector step of the path tracker is priced like any other kernel.
 // `q` holds (at least) Q's leading c columns and `rtop` the c-by-c
 // triangle (zeros below the diagonal), both staged (ResidentQr below);
-// the panel kernels of blas/panel.hpp run the same multiple-double
-// operation order as the host reference least_squares_with_factors, so
-// the result is limb-identical to it.  Null factors (and an empty `r`)
+// the host reference least_squares_with_factors runs the same two
+// kernels of blas/panel.hpp, so the result is limb-identical to it.  Null factors (and an empty `r`)
 // in dry-run mode, where only the dimensions drive the schedule; the
 // declared tallies match the functional bodies exactly.
 template <class T>
@@ -76,8 +79,8 @@ blas::Vector<T> correction_solve_staged_run(device::Device& dev,
     const md::OpTally serial = O::fma() * ceil_div(m, tile) + O::add() * 6;
     dev.launch(stage::ref_qhr, c, tile, ops,
                (std::int64_t(m) * c + m + c) * esz, serial, [&] {
-                 blas::gemv_adjoint_cols<T>(q->view(), r, std::span<T>(y), 0,
-                                            c);
+                 blas::gemv_adjoint_cols<T>(q->view(0, 0, m, c), r,
+                                            std::span<T>(y));
                });
   }
 

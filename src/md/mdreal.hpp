@@ -212,7 +212,7 @@ class mdreal {
     const int len = expn::sum_terms(t, k, h);
     mdreal r;
     expn::extract(h, len, r.x_.data(), N);
-    return r;
+    return finite_or(r, a.x_[0] + b.x_[0]);
   }
 
   static mdreal add_double_impl(const mdreal& a, double b) noexcept {
@@ -223,7 +223,7 @@ class mdreal {
     const int len = expn::sum_terms(t, N + 1, h);
     mdreal r;
     expn::extract(h, len, r.x_.data(), N);
-    return r;
+    return finite_or(r, a.x_[0] + b);
   }
 
   static mdreal mul_impl(const mdreal& a, const mdreal& b) noexcept {
@@ -252,7 +252,7 @@ class mdreal {
       const int len = expn::sum_terms(m, k, h);
       mdreal r;
       expn::extract(h, len, r.x_.data(), N);
-      return r;
+      return finite_or(r, a.x_[0] * b.x_[0]);
     }
   }
 
@@ -269,7 +269,7 @@ class mdreal {
     const int len = expn::sum_terms(m, k, h);
     mdreal r;
     expn::extract(h, len, r.x_.data(), N);
-    return r;
+    return finite_or(r, a.x_[0] * b);
   }
 
   static mdreal div_impl(const mdreal& a, const mdreal& b) noexcept {
@@ -286,7 +286,7 @@ class mdreal {
     const int len = expn::sum_terms(q, N + 1, h);
     mdreal out;
     expn::extract(h, len, out.x_.data(), N);
-    return out;
+    return finite_or(out, a.x_[0] / b.x_[0]);
   }
 
   // Exact sum/product oracles via the expansion engine — used by the tests
@@ -303,6 +303,15 @@ class mdreal {
   }
 
  private:
+  // The one non-finite rule of the kernels above: an operand or a leading
+  // result that is not finite yields the IEEE result of the leading limbs
+  // with the other limbs zero, so overflow gives a signed infinity rather
+  // than the NaN an error term computes as Inf - Inf.  Finite results
+  // keep their bits.
+  static mdreal finite_or(const mdreal& r, double leading) noexcept {
+    return std::isfinite(r.x_[0]) ? r : mdreal(leading);
+  }
+
   std::array<double, N> x_{};
 };
 

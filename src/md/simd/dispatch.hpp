@@ -90,6 +90,10 @@ struct LimbKernels {
   // c(i, j) += s(i, j) over the window [i0,i1) x [j0,j1).
   void (*ewise_add)(Planes c, CPlanes s, int i0, int i1, int j0,
                     int j1) = nullptr;
+  // s -= a(0, t) * b(0, t) for t in [0, n), ascending — one dependency
+  // chain (back substitution's per-row update), so every table runs it
+  // on the scalar sequence; s is N contiguous limbs.
+  void (*fms_chain)(double* s, CPlanes a, CPlanes b, int n) = nullptr;
 };
 
 // One ISA's table: a LimbKernels set per count of kFusedLimbs (the

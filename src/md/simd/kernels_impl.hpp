@@ -397,11 +397,24 @@ void ewise_add_kernel(Planes c, CPlanes s, int i0, int i1, int j0, int j1) {
   }
 }
 
+// A chain has no lanes to fill: the scalar sequence, instantiated per
+// backend so each table's copy is compiled in its own translation unit.
+template <class V, int N>
+void fms_chain_kernel(double* s, CPlanes a, CPlanes b, int n) {
+  using M = MD<VScalar, N>;
+  auto acc = M::load(s, 1);
+  for (int t = 0; t < n; ++t)
+    acc = M::sub(acc, M::mul(M::load(a.at(0, 0, t), a.plane),
+                             M::load(b.at(0, 0, t), b.plane)));
+  M::store(s, 1, acc);
+}
+
 // One fully-bound table for backend V: a kernel set per fused count.
 template <class V, int N>
 LimbKernels make_limb_kernels() noexcept {
-  return {&col_dots_kernel<V, N>, &rank1_kernel<V, N>, &gemm_nt_kernel<V, N>,
-          &gemm_nn_kernel<V, N>, &ewise_add_kernel<V, N>};
+  return {&col_dots_kernel<V, N>,  &rank1_kernel<V, N>,
+          &gemm_nt_kernel<V, N>,   &gemm_nn_kernel<V, N>,
+          &ewise_add_kernel<V, N>, &fms_chain_kernel<V, N>};
 }
 
 template <class V, std::size_t... I>

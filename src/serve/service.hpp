@@ -413,8 +413,17 @@ class SolverService {
 
       // The sink runs BEFORE the completion block below: drain() waits
       // for running == 0 under mu_, so every sink call happens-before
-      // drain() returns and the caller may read what the sink wrote.
-      if (ok && opt_.row_sink) opt_.row_sink(resp.row);
+      // drain() returns and the caller may read what the sink wrote.  A
+      // sink that throws fails its job like a throwing solve: the future
+      // carries the exception and the worker carries on.
+      if (ok && opt_.row_sink) {
+        try {
+          opt_.row_sink(resp.row);
+        } catch (...) {
+          ok = false;
+          error = std::current_exception();
+        }
+      }
       {
         std::lock_guard<std::mutex> lock(mu_);
         --stats_.running;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "md/expansion.hpp"
@@ -163,6 +164,53 @@ TYPED_TEST(MdRealTest, NonFinitePropagation) {
   EXPECT_TRUE((a + n).isnan());
   EXPECT_TRUE((a * n).isnan());
   EXPECT_TRUE((a / TypeParam(0.0)).isnan() || !(a / TypeParam(0.0)).isfinite());
+}
+
+// Overflow gives a signed infinity at every limb count d1-d8 (the leading
+// limbs' IEEE result, the other limbs zero — not the NaN of an error term
+// computing Inf - Inf), and huge operands of opposite sign compare in
+// order, since the comparisons read the sign of that difference.
+template <class T>
+class MdRealOverflow : public ::testing::Test {};
+using OverflowSizes =
+    ::testing::Types<mdreal<1>, mdreal<2>, mdreal<3>, mdreal<4>, mdreal<5>,
+                     mdreal<6>, mdreal<8>>;
+TYPED_TEST_SUITE(MdRealOverflow, OverflowSizes);
+
+TYPED_TEST(MdRealOverflow, OverflowIsSignedInfinity) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const TypeParam big(1e308), tiny(1e-10);
+  auto expect_inf = [&](const TypeParam& x, double want, const char* what) {
+    EXPECT_EQ(x.limb(0), want) << what;
+    for (int i = 1; i < TypeParam::limbs; ++i)
+      EXPECT_EQ(x.limb(i), 0.0) << what << " limb " << i;
+  };
+  expect_inf(big + big, inf, "add");
+  expect_inf(-big - big, -inf, "sub");
+  expect_inf(big + 1e308, inf, "add double");
+  expect_inf(big - -1e308, inf, "sub double");
+  expect_inf(big * TypeParam(10.0), inf, "mul");
+  expect_inf(-big * TypeParam(10.0), -inf, "mul, negative");
+  expect_inf(big * 10.0, inf, "mul double");
+  expect_inf(big * -10.0, -inf, "mul double, negative");
+  expect_inf(big / tiny, inf, "div");
+  expect_inf(-big / tiny, -inf, "div, negative");
+  expect_inf(big / 1e-10, inf, "div double");
+  // Finite neighbours are untouched by the rule.
+  EXPECT_TRUE((big + TypeParam(-1e308)).is_zero());
+  EXPECT_EQ((TypeParam(1e307) * TypeParam(10.0)).limb(0), 1e307 * 10.0);
+}
+
+TYPED_TEST(MdRealOverflow, HugeOperandsCompareInOrder) {
+  const TypeParam pos(1e308), neg(-1e308);
+  EXPECT_TRUE(pos > neg);
+  EXPECT_TRUE(neg < pos);
+  EXPECT_FALSE(pos == neg);
+  EXPECT_TRUE(pos != neg);
+  EXPECT_TRUE(neg <= pos);
+  EXPECT_FALSE(pos < neg);
+  EXPECT_TRUE(pos > -1e308);
+  EXPECT_TRUE(neg < 1e308);
 }
 
 TYPED_TEST(MdRealTest, RenormalizedFactory) {

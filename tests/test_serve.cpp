@@ -13,6 +13,7 @@
 #include <future>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -430,6 +431,46 @@ TEST(ServeShutdown, DestroyingWithQueuedJobsResolvesEveryFuture) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     EXPECT_EQ(f.get().status, serve::JobStatus::done);
   }
+}
+
+// A row sink that throws fails its own job, not the process: the job's
+// future carries the sink's exception, the failure is counted, and the
+// worker goes on to serve the next job; drain() and destruction return.
+TEST(ServeShutdown, ThrowingRowSinkFailsItsJobOnly) {
+  constexpr int kJobs = 3;
+  auto [a, b] = random_problem<2>(16, 8, 0xd7a3);
+  std::atomic<int> calls{0};
+  std::vector<std::future<serve::Response<2>>> results;
+  serve::ServiceStats stats;
+  {
+    serve::ServiceOptions opt;
+    opt.row_sink = [&calls](const util::BatchDeviceRow&) {
+      if (++calls == 2) throw std::runtime_error("sink refused the row");
+    };
+    serve::SolverService<2> svc(
+        core::DevicePool::homogeneous(device::volta_v100(), 1), opt);
+    for (int k = 0; k < kJobs; ++k) {
+      auto ticket = svc.submit(lsq_request<2>(a, b, 8));
+      ASSERT_TRUE(ticket.accepted);
+      results.push_back(std::move(ticket.result));
+    }
+    svc.drain();
+    stats = svc.stats();
+  }
+  EXPECT_EQ(calls.load(), kJobs);
+  int thrown = 0;
+  for (auto& f : results) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    try {
+      EXPECT_EQ(f.get().status, serve::JobStatus::done);
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink refused the row");
+      ++thrown;
+    }
+  }
+  EXPECT_EQ(thrown, 1);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.failed, 1);
 }
 
 // --- fair-share scheduling --------------------------------------------------

@@ -5,7 +5,7 @@
 // every compiled table — scalar, AVX2, AVX-512, NEON — must produce
 // bit-identical results.  For every limb count the tables carry
 // (md::simd::kFusedLimbs) these tests
-//   * sweep all five fused kernels of every supported table against the
+//   * sweep all six fused kernels of every supported table against the
 //     scalar table on adversarial data (±0, short numbers, exponent gaps,
 //     subnormal low limbs, Inf/NaN, exact and near cancellation) at
 //     tail-exercising lengths, and pin their partition invariance;
@@ -13,9 +13,10 @@
 //     the double-double add and mul the fused family started from (a
 //     reference copy is kept below), N >= 3 stays within 4 * 2^(1-53N)
 //     of the exact expansion result, relative to it, and renormalized;
-//   * close the loop end-to-end: a blocked QR forced onto each ISA and
-//     run at parallelism 1 and 4 reproduces the forced-scalar sequential
-//     factors limb-for-limb, with measured == analytic per stage.
+//   * close the loop end-to-end: a blocked QR, a correction solve and a
+//     block Toeplitz series solve forced onto each ISA and run at
+//     parallelism 1 and 4 reproduce the forced-scalar sequential results
+//     limb-for-limb, with measured == analytic per stage.
 //
 // Also here: the plane-kernel tally contract (empty — plane kernels
 // execute no multiple-double operations), the planes::copy overlap
@@ -33,9 +34,13 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "blas/panel.hpp"
+#include "core/block_toeplitz.hpp"
 #include "core/blocked_qr.hpp"
+#include "device/staged.hpp"
 #include "md/eft.hpp"
 #include "md/expansion.hpp"
 #include "md/mdreal.hpp"
@@ -123,6 +128,7 @@ TEST(SimdDispatch, EveryTableHasAKernelSetPerFusedLimbCount) {
       EXPECT_EQ(k.gemm_nt != nullptr, fused) << n;
       EXPECT_EQ(k.gemm_nn != nullptr, fused) << n;
       EXPECT_EQ(k.ewise_add != nullptr, fused) << n;
+      EXPECT_EQ(k.fms_chain != nullptr, fused) << n;
     }
   }
 }
@@ -239,7 +245,7 @@ simd::Planes planes_of(std::vector<double>& p, std::size_t n,
   return {p.data(), n, ld};
 }
 
-// All five kernels of one table on one data set, outputs concatenated.
+// All six kernels of one table on one data set, outputs concatenated.
 template <int N>
 std::vector<double> run_kernels(const simd::LimbKernels& k, bool nonfinite,
                                 int c0, int cut, int c1) {
@@ -283,8 +289,14 @@ std::vector<double> run_kernels(const simd::LimbKernels& k, bool nonfinite,
     k.ewise_add(planes_of(ew, na, lda), planes_of(s, na, lda), 0, rows, x0,
                 x1);
   });
+  // The chain has no columns to split: element 0 of c minus the dot of
+  // row 0 of a and row 0 of g.
+  std::vector<double> fc(N);
+  for (int l = 0; l < N; ++l) fc[std::size_t(l)] = c[std::size_t(l) * na];
+  k.fms_chain(fc.data(), planes_of(a, na, lda), planes_of(g, lda * cols, lda),
+              cols);
   std::vector<double> out;
-  for (const auto* p : {&w, &r1, &nt, &nn, &ew})
+  for (const auto* p : {&w, &r1, &nt, &nn, &ew, &fc})
     out.insert(out.end(), p->begin(), p->end());
   return out;
 }
@@ -463,8 +475,9 @@ struct RefArith<2> {
   }
 };
 
-// Every table's gemm_nn, rank1 and ewise_add at N in {1, 2} against the
-// reference sequences composed the way the kernels compose them.
+// Every table's gemm_nn, rank1, ewise_add and fms_chain at N in {1, 2}
+// against the reference sequences composed the way the kernels compose
+// them.
 template <int N>
 void expect_reference_sequences() {
   using Ref = RefArith<N>;
@@ -486,6 +499,21 @@ void expect_reference_sequences() {
     // rank1 over rows [0, I): v = column 0 of b, w = row 0 of s.
     k.rank1(planes_of(r1, n, J), I, 0, J, planes_of(b, n, J),
             planes_of(s, n, J));
+    // fms_chain: element 0 of s minus row 0 of a times row 0 of b.
+    double chain[N], want_chain[N];
+    limbs(s, 0, chain);
+    limbs(s, 0, want_chain);
+    k.fms_chain(chain, planes_of(a, n, J), planes_of(b, n, J), J);
+    for (int t = 0; t < J; ++t) {
+      double x[N], y[N], p[N];
+      limbs(a, std::size_t(t), x);
+      limbs(b, std::size_t(t), y);
+      Ref::mul(x, y, p);
+      Ref::sub(want_chain, p, want_chain);
+    }
+    for (int l = 0; l < N; ++l)
+      ASSERT_TRUE(same(chain[l], want_chain[l]))
+          << "fms_chain limb " << l << " on " << simd::name_of(isa);
     for (int i = 0; i < I; ++i)
       for (int j = 0; j < J; ++j) {
         double acc[N] = {}, x[N], y[N], p[N], want[N];
@@ -521,13 +549,23 @@ void expect_reference_sequences() {
 
 TEST(SimdFusedSequences, OneLimbIsIeeeArithmetic) {
   expect_reference_sequences<1>();
-  // ... which is also what the mdreal<1> operators compute on finite,
-  // non-overflowing data.
+  // ... which is also what the mdreal<1> operators compute, on finite
+  // data and on operands whose sum or product overflows to a signed
+  // infinity (k < 8).
   std::mt19937_64 gen(0x1D);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
+  using M = simd::MD<simd::VScalar, 1>;
   for (int k = 0; k < 2000; ++k) {
-    const double a = std::ldexp(u(gen), k % 60 - 30),
-                 b = k % 7 ? std::ldexp(u(gen), k % 50 - 25) : -a;
+    const double huge[][2] = {{1e308, 1e308},   {-1e308, -1e308},
+                              {1e308, -1e308},  {1.7e308, 1e300},
+                              {-1e308, 1e10},   {1e200, 1e200},
+                              {-1e200, 1e200},  {1e308, 0.5}};
+    const double a = k < 8 ? huge[k][0] : std::ldexp(u(gen), k % 60 - 30),
+                 b = k < 8    ? huge[k][1]
+                     : k % 7 ? std::ldexp(u(gen), k % 50 - 25)
+                             : -a;
+    EXPECT_EQ(bits(M::add({{a}}, {{b}}).l[0]), bits(a + b));
+    EXPECT_EQ(bits(M::mul({{a}}, {{b}}).l[0]), bits(a * b));
     EXPECT_EQ(bits((md::mdreal<1>(a) + md::mdreal<1>(b)).limb(0)),
               bits(a + b));
     EXPECT_EQ(bits((md::mdreal<1>(a) - md::mdreal<1>(b)).limb(0)),
@@ -592,6 +630,137 @@ TEST(SimdFusedQr, FactorsIdenticalAcrossTablesAndWidthsD4) {
 }
 TEST(SimdFusedQr, FactorsIdenticalAcrossTablesAndWidthsD8) {
   expect_qr_identical_across_tables_and_widths<8>();
+}
+
+// The path tracker's per-order kernels on the fused family: a correction
+// solve on resident factors (fused Q^H r, fused fms chains, operator
+// divisions) and a series solve (fused Toeplitz convolution plus one
+// correction solve per order), forced onto each ISA and run at
+// parallelism 1 and 4, reproduce the forced-scalar sequential answers
+// limb-for-limb, with measured == analytic per stage, and the dry runs
+// price the functional schedules exactly.
+template <int N>
+void expect_solves_identical_across_tables_and_widths() {
+  using T = md::mdreal<N>;
+  const int m = 12, band = 3, orders = 5, tile = 4;
+  std::mt19937_64 gen(0x5017 + N);
+  std::vector<blas::Matrix<T>> blocks;
+  for (int j = 0; j < band; ++j)
+    blocks.push_back(blas::random_matrix<T>(m, m, gen));
+  for (int i = 0; i < m; ++i) blocks[0](i, i) += T(4.0);
+  const auto r = blas::random_vector<T>(m, gen);
+  std::vector<blas::Vector<T>> rhs;
+  for (int k = 0; k < orders; ++k)
+    rhs.push_back(blas::random_vector<T>(m, gen));
+
+  struct Run {
+    blas::Vector<T> dx;
+    std::vector<blas::Vector<T>> x;
+  };
+  util::ThreadPool pool(3);
+  auto run = [&](simd::Isa isa, int width) {
+    EXPECT_TRUE(simd::force_isa(isa));
+    auto fdev = make_dev<T>(device::ExecMode::functional);
+    core::BlockToeplitzSolver<T> solver(fdev, blocks, tile);
+    Run out;
+    auto cdev = make_dev<T>(device::ExecMode::functional);
+    cdev.set_parallelism(&pool, width);
+    out.dx = solver.solve_diag_on(cdev, std::span<const T>(r), tile);
+    test_support::expect_stage_tallies_exact(cdev);
+    auto cdry = make_dev<T>(device::ExecMode::dry_run);
+    core::correction_solve_dry<T>(cdry, m, m, tile);
+    EXPECT_DOUBLE_EQ(cdry.kernel_ms(), cdev.kernel_ms());
+    EXPECT_EQ(cdry.launches(), cdev.launches());
+    EXPECT_TRUE(cdry.analytic_total() == cdev.analytic_total());
+
+    auto sdev = make_dev<T>(device::ExecMode::functional);
+    sdev.set_parallelism(&pool, width);
+    out.x = solver.solve_on(sdev, rhs, tile);
+    test_support::expect_stage_tallies_exact(sdev);
+    auto sdry = make_dev<T>(device::ExecMode::dry_run);
+    core::BlockToeplitzSolver<T>::solve_series_dry(sdry, m, band, orders,
+                                                   tile);
+    EXPECT_DOUBLE_EQ(sdry.kernel_ms(), sdev.kernel_ms());
+    EXPECT_EQ(sdry.launches(), sdev.launches());
+    EXPECT_TRUE(sdry.analytic_total() == sdev.analytic_total());
+    return out;
+  };
+  auto expect_bits = [](const blas::Vector<T>& a, const blas::Vector<T>& b,
+                        const std::string& what) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_TRUE(blas::bit_identical(a[i], b[i])) << what << " [" << i << "]";
+  };
+
+  const Run ref = run(simd::Isa::scalar, 1);
+  for (simd::Isa isa : simd::supported_isas())
+    for (int width : {1, 4}) {
+      const Run got = run(isa, width);
+      const std::string where = std::string(simd::name_of(isa)) +
+                                " at parallelism " + std::to_string(width);
+      expect_bits(got.dx, ref.dx, "correction " + where);
+      ASSERT_EQ(got.x.size(), ref.x.size());
+      for (std::size_t k = 0; k < ref.x.size(); ++k)
+        expect_bits(got.x[k], ref.x[k],
+                    "order " + std::to_string(k) + " " + where);
+    }
+  simd::clear_forced();
+}
+
+TEST(SimdFusedSolve, CorrectionAndSeriesSolvesIdenticalD1D2) {
+  expect_solves_identical_across_tables_and_widths<1>();
+  expect_solves_identical_across_tables_and_widths<2>();
+}
+TEST(SimdFusedSolve, CorrectionAndSeriesSolvesIdenticalD3D4) {
+  expect_solves_identical_across_tables_and_widths<3>();
+  expect_solves_identical_across_tables_and_widths<4>();
+}
+TEST(SimdFusedSolve, CorrectionAndSeriesSolvesIdenticalD8) {
+  expect_solves_identical_across_tables_and_widths<8>();
+}
+
+// Each y_j of the fused Q^H r lies within m * 4 * 2^(1-53N) *
+// sum_i |q_ij r_i| of the exact dot: every term's exact two_prod
+// expansion distilled by the oracle engine behind add_exact_oracle.
+template <int N>
+void expect_adjoint_gemv_near_exact_dot() {
+  using T = md::mdreal<N>;
+  const int m = 13, c = 11;  // vector bodies and tails at every width
+  std::mt19937_64 gen(0xD07 + N);
+  const auto qh = blas::random_matrix<T>(m, c, gen);
+  const auto r = blas::random_vector<T>(m, gen);
+  const auto q = device::Staged2D<T>::from_host(qh);
+  blas::Vector<T> y(static_cast<std::size_t>(c));
+  blas::gemv_adjoint_cols<T>(q.view(), std::span<const T>(r),
+                             std::span<T>(y));
+  const double unit = std::ldexp(4.0, 1 - 53 * N);
+  for (int j = 0; j < c; ++j) {
+    std::vector<double> terms;
+    double mag_sum = 0.0;
+    for (int i = 0; i < m; ++i) {
+      mag_sum += std::fabs(qh(i, j).to_double() * r[i].to_double());
+      for (int a = 0; a < N; ++a)
+        for (int b = 0; b < N; ++b) {
+          double p, e;
+          md::two_prod(qh(i, j).limb(a), r[i].limb(b), p, e);
+          terms.push_back(-p);
+          terms.push_back(-e);
+        }
+    }
+    for (int s = 0; s < N; ++s) terms.push_back(y[j].limb(s));
+    std::vector<double> h;
+    const int len = exact_sum(terms, h);
+    const double err = len ? std::fabs(h[std::size_t(len) - 1]) : 0.0;
+    EXPECT_LE(err, m * unit * mag_sum) << "y_" << j << ", N = " << N;
+  }
+}
+
+TEST(SimdFusedSolve, AdjointGemvStaysNearTheExactDot) {
+  expect_adjoint_gemv_near_exact_dot<1>();
+  expect_adjoint_gemv_near_exact_dot<2>();
+  expect_adjoint_gemv_near_exact_dot<3>();
+  expect_adjoint_gemv_near_exact_dot<4>();
+  expect_adjoint_gemv_near_exact_dot<8>();
 }
 
 // The scalar EFT two_prod (md/eft.hpp) may use the Dekker/Veltkamp split

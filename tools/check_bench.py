@@ -65,6 +65,13 @@ What is gated, and why (DESIGN.md §6):
 * coverage — every baseline case must still exist in the new run, so a
   regression can't hide by deleting its case.  New cases are reported
   and pass; commit a refreshed baseline to start gating them.
+* host probe — bench_suite records the host's effective parallelism
+  (summed thread CPU time over wall time while hardware_concurrency
+  threads spin for about 200 ms) before its first case and after its
+  last, as "probe_before" and "probe_after".  Every failing wall ratio is
+  printed next to both readings, so a ratio that failed on a contended
+  host can be told from a regression.  Artifacts without the fields
+  still parse; their failures print without it.
 * --extra PATH (repeatable) — merge the cases of further bench
   artifacts (e.g. BENCH_path.json from bench_path_tracking) into the
   new run before gating, so one baseline file covers every suite.
@@ -103,6 +110,17 @@ def load_doc(path):
 
 def load_cases(path):
     return {case_key(c): c for c in load_doc(path)["cases"]}
+
+
+def probe_note(doc):
+    """The host probe readings of a bench artifact, for a failing wall
+    ratio's message; empty when the artifact does not carry them."""
+    before, after = doc.get("probe_before"), doc.get("probe_after")
+    if before is None and after is None:
+        return ""
+    fmt = lambda v: "n/a" if v is None else f"{v:.2f}"
+    return (f" [host effective parallelism {fmt(before)} before, "
+            f"{fmt(after)} after]")
 
 
 def main():
@@ -163,6 +181,7 @@ def main():
               f"(hardware_concurrency "
               f"{new_doc.get('hardware_concurrency', 0)} < 2)")
     failures, notes = [], []
+    probe = probe_note(new_doc)
 
     for key in sorted(base):
         name = "/".join(str(k) for k in key)
@@ -210,7 +229,7 @@ def main():
                 failures.append(
                     f"{name}: {label} speedup {ns:.2f}x vs baseline "
                     f"{bs:.2f}x (-{100.0 * (1.0 - ns / bs):.1f}% > "
-                    f"{100.0 * tol:.0f}%)")
+                    f"{100.0 * tol:.0f}%){probe}")
         if (floor_active
                 and (key[0] in floor_kinds
                      or f"{key[0]}/{key[1]}" in floor_kinds)
@@ -218,7 +237,7 @@ def main():
                 and n.get("speedup", 0.0) < args.min_speedup):
             failures.append(
                 f"{name}: threading speedup {n.get('speedup', 0.0):.2f}x "
-                f"below the absolute floor {args.min_speedup:.2f}x")
+                f"below the absolute floor {args.min_speedup:.2f}x{probe}")
 
     # The absolute staged floor covers EVERY new layout case, baselined
     # or not — a fresh layout case must not ship slower than interleaved.
@@ -231,7 +250,8 @@ def main():
                 failures.append(
                     "/".join(str(k) for k in key) +
                     f": staged speedup {n['staged_speedup']:.2f}x below "
-                    f"the absolute floor {args.min_staged_speedup:.2f}x")
+                    f"the absolute floor {args.min_staged_speedup:.2f}x"
+                    f"{probe}")
 
     # Likewise the absolute simd floor: every new case carrying a
     # simd_speedup (the forced-scalar vs forced-ISA ablations) must clear
@@ -246,7 +266,8 @@ def main():
                 failures.append(
                     "/".join(str(k) for k in key) +
                     f": simd speedup {n['simd_speedup']:.2f}x below "
-                    f"the absolute floor {args.min_simd_speedup:.2f}x")
+                    f"the absolute floor {args.min_simd_speedup:.2f}x"
+                    f"{probe}")
 
     # And the absolute cache floor: every new case carrying a
     # cache_hit_speedup (the warm-vs-cold factor-cache replays of
@@ -263,7 +284,7 @@ def main():
                     "/".join(str(k) for k in key) +
                     f": cache-hit speedup {n['cache_hit_speedup']:.2f}x "
                     f"below the absolute floor "
-                    f"{args.min_cache_hit_speedup:.2f}x")
+                    f"{args.min_cache_hit_speedup:.2f}x{probe}")
 
     for key in sorted(set(new) - set(base)):
         notes.append("/".join(str(k) for k in key) +

@@ -2,6 +2,8 @@
 """Unit tests for the CI perf gate (tools/check_bench.py), run from CTest
 as `check_bench_unit`.  Stdlib only."""
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -27,10 +29,11 @@ class CheckBenchTest(unittest.TestCase):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
 
-    def write_doc(self, name, cases, hw=4):
+    def write_doc(self, name, cases, hw=4, **fields):
         path = os.path.join(self.dir.name, name)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump({"hardware_concurrency": hw, "cases": cases}, f)
+            json.dump({"hardware_concurrency": hw, "cases": cases, **fields},
+                      f)
         return path
 
     def run_gate(self, new, base, *flags):
@@ -136,6 +139,32 @@ class CheckBenchTest(unittest.TestCase):
             qr_case(),
             qr_case(kind="servehit", cache_hit_speedup=0.5)])
         self.assertEqual(self.run_gate(new, base), 0)
+
+    def gate_stderr(self, new, base, *flags):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = self.run_gate(new, base, *flags)
+        return code, err.getvalue()
+
+    def test_failing_wall_ratio_prints_the_host_probe(self):
+        base = self.write_doc("base.json", [qr_case()])
+        new = self.write_doc("new.json", [qr_case(speedup=1.0)],
+                             probe_before=1.3, probe_after=3.6)
+        code, err = self.gate_stderr(new, base)
+        self.assertEqual(code, 1)
+        self.assertIn("threading speedup 1.00x", err)
+        self.assertIn("1.30 before, 3.60 after", err)
+
+    def test_artifact_without_probe_still_gates(self):
+        base = self.write_doc("base.json", [qr_case()])
+        new = self.write_doc("new.json", [qr_case(speedup=1.0)])
+        code, err = self.gate_stderr(new, base)
+        self.assertEqual(code, 1)
+        self.assertIn("threading speedup 1.00x", err)
+        self.assertNotIn("effective parallelism", err)
+        ok = self.write_doc("ok.json", [qr_case()])
+        self.assertEqual(self.gate_stderr(ok, base)[0], 0)
 
     def test_non_bit_identical_fails(self):
         new = self.write_doc("new.json", [qr_case(bit_identical=False)])
